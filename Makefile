@@ -1,5 +1,6 @@
 # Tier-1 verification for the CEAFF reproduction. `make check` is the
-# full gate: formatting, vet, build, and the race-enabled test suite.
+# full gate: formatting, vet, build, the race-enabled test suite, and vet +
+# tests of the ceaffbench module (its own go.mod, so `./...` skips it).
 # `make bench` regenerates BENCH_PR9.json: table + kernel benchmarks plus
 # an instrumented pipeline run, folded into one schema-stable file that
 # cmd/benchdiff can compare across commits. `make fuzz-smoke` runs each
@@ -16,9 +17,9 @@ BENCHOUT  ?= BENCH_PR9.json
 
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build test race bench serve-smoke replica-smoke loadtest loadtest-smoke fuzz-smoke cover
+.PHONY: check fmt vet build test race bench-module bench serve-smoke replica-smoke loadtest loadtest-smoke fuzz-smoke cover
 
-check: fmt vet build race
+check: fmt vet build race bench-module
 
 fmt:
 	@unformatted=$$(gofmt -l $(GOFILES)); \
@@ -37,6 +38,13 @@ test:
 
 race:
 	go test -race ./...
+
+# The benchmark harness is a separate module that imports internal/serve;
+# building and testing it here catches serving API changes that would
+# break the benchmark.
+bench-module:
+	go -C ceaffbench vet ./...
+	go -C ceaffbench test ./...
 
 # Boot ceaffd on an ephemeral port, assert /readyz flips, run one align
 # and one candidates query, SIGTERM, and require a clean (exit 0) drain.

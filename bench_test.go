@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ceaff/internal/baselines"
 	"ceaff/internal/bench"
@@ -496,13 +495,12 @@ func BenchmarkTrainEpochSerialMedium(b *testing.B) { benchTrainEpoch(b, true) }
 // The BenchmarkServeAlign* family drives the daemon's HTTP handler with
 // 64 concurrent clients issuing single-source align queries over a 512 x
 // 4096 engine — large enough that answering from scratch does real work.
-// Legacy is the pre-coalescing configuration (no batching, no cache,
-// encoding/json); HeavyTraffic is the production default (coalescing +
-// versioned cache + arena encoder). One benchmark op is a full sweep of
-// benchServeOps requests, so the suite stays meaningful at the 3x
+// ZeroAlloc decides every query (no cache); HeavyTraffic is the production
+// default (versioned cache + arena encoder). One benchmark op is a full
+// sweep of benchServeOps requests, so the suite stays meaningful at the 3x
 // benchtime the regression gate uses (per-request timing at 3 iterations
-// would measure nothing but warm-up). The CI benchdiff gate watches
-// these; req/s is also reported for direct throughput comparison.
+// would measure nothing but warm-up). The CI benchdiff gate watches these;
+// req/s is also reported for direct throughput comparison.
 
 const (
 	benchServeSources = 512
@@ -537,7 +535,6 @@ func benchServeAlign(b *testing.B, tune func(*serve.Config)) {
 	cfg := serve.DefaultServerConfig()
 	cfg.MaxInFlight = 2 * benchServeClients
 	cfg.MaxQueue = 8 * benchServeClients
-	cfg.CoalesceWindow = 0
 	cfg.CacheSize = 0
 	tune(&cfg)
 	srv := serve.NewServer(cfg, obs.NewRegistry())
@@ -592,33 +589,16 @@ func benchServeAlign(b *testing.B, tune func(*serve.Config)) {
 	b.ReportMetric(float64(b.N)*benchServeOps/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkServeAlignLegacy is the pre-PR8 request path: every query runs
-// the collective decision and marshals through encoding/json.
-func BenchmarkServeAlignLegacy(b *testing.B) {
-	benchServeAlign(b, func(cfg *serve.Config) { cfg.StdlibEncode = true })
-}
-
-// BenchmarkServeAlignZeroAlloc isolates the arena encoder: same uncached,
-// uncoalesced path, bytes built in pooled scratch.
+// BenchmarkServeAlignZeroAlloc is the uncached path: every query runs the
+// collective decision, and the response bytes are built in pooled scratch.
 func BenchmarkServeAlignZeroAlloc(b *testing.B) {
 	benchServeAlign(b, func(cfg *serve.Config) {})
 }
 
-// BenchmarkServeAlignCoalesced batches concurrent queries into shared
-// collective executions (no cache, so every query still decides).
-func BenchmarkServeAlignCoalesced(b *testing.B) {
-	benchServeAlign(b, func(cfg *serve.Config) {
-		cfg.CoalesceWindow = time.Millisecond
-		cfg.CoalesceMaxRows = benchServeClients / 2
-	})
-}
-
-// BenchmarkServeAlignHeavyTraffic is the shipped default: coalescing +
-// versioned result cache + arena encoder.
+// BenchmarkServeAlignHeavyTraffic is the shipped default: versioned result
+// cache + arena encoder.
 func BenchmarkServeAlignHeavyTraffic(b *testing.B) {
 	benchServeAlign(b, func(cfg *serve.Config) {
-		cfg.CoalesceWindow = time.Millisecond
-		cfg.CoalesceMaxRows = benchServeClients / 2
 		cfg.CacheSize = 4 * benchServeSources
 	})
 }
@@ -674,13 +654,13 @@ func (w *nullResponseWriter) Header() http.Header {
 func (w *nullResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nullResponseWriter) WriteHeader(int)             {}
 
-// benchServeEncode pins the response-encoding cost alone: a 64-decision
-// response over an instant aligner, caching and coalescing off, with a
-// reused request object and a discarding writer so per-op allocations are
-// the handler's own (decode + align copy + encode). The allocs/op delta
-// between the two variants is the arena encoder's contribution to the
-// response path.
-func benchServeEncode(b *testing.B, stdlib bool) {
+// BenchmarkServeEncodeArena pins the response-encoding cost alone: a
+// 64-decision response over an instant aligner, caching off, with a reused
+// request object and a discarding writer so per-op allocations are the
+// handler's own (decode + align copy + encode).
+// BenchmarkEncodeAlignResponseStdlib in internal/serve keeps the
+// encoding/json comparison.
+func BenchmarkServeEncodeArena(b *testing.B) {
 	dec := make([]serve.Decision, benchServeSources)
 	for i := range dec {
 		dec[i] = serve.Decision{
@@ -694,9 +674,7 @@ func benchServeEncode(b *testing.B, stdlib bool) {
 		}
 	}
 	cfg := serve.DefaultServerConfig()
-	cfg.CoalesceWindow = 0
 	cfg.CacheSize = 0
-	cfg.StdlibEncode = stdlib
 	srv := serve.NewServer(cfg, obs.NewRegistry())
 	srv.SetAligner(&staticBenchAligner{dec: dec})
 	h := srv.Handler()
@@ -723,6 +701,3 @@ func benchServeEncode(b *testing.B, stdlib bool) {
 		}
 	}
 }
-
-func BenchmarkServeEncodeStdlib(b *testing.B) { benchServeEncode(b, true) }
-func BenchmarkServeEncodeArena(b *testing.B)  { benchServeEncode(b, false) }

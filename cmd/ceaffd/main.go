@@ -14,8 +14,7 @@
 //	       [-default-timeout 5s] [-max-timeout 30s] [-drain-timeout 15s]
 //	       [-breaker-window 20] [-breaker-threshold 0.5] [-breaker-cooldown 10s]
 //	       [-wal path] [-rebuild-threshold 1] [-rebuild-interval 0]
-//	       [-coalesce-window 2ms] [-coalesce-max-rows 256] [-cache-size 4096]
-//	       [-stdlib-encode] [-shards 0]
+//	       [-cache-size 4096] [-shards 0]
 //	       [-replica -partition i/N]
 //	       [-router -replicas url1,...,urlN] [-probe-interval 1s]
 //	       [-gather-timeout 2s] [-replica-retries 3]
@@ -42,19 +41,17 @@
 // and the process exits 0; if the drain deadline passes, connections are
 // force-closed and it exits 1.
 //
-// The heavy-traffic path: concurrent /v1/align requests coalesce under
-// -coalesce-window (or -coalesce-max-rows, whichever trips first) into one
-// pooled collective execution with per-request demux; single-source answers
-// and candidate lists land in a -cache-size LRU keyed by engine version
-// (invalidated wholesale on hot-swap); responses are encoded through the
-// arena-backed zero-allocation encoder unless -stdlib-encode. With
-// -shards N, the source space is partitioned across N consistent-hash
-// replica shards behind an in-process router; answers stay bit-identical
-// to the unsharded engine. With -blocked, the candidate-first pipeline
-// builds a sparse engine (token/neighbour/LSH blocking, candidate-local
-// scores) — serving from Result.FusedSparse in O(|test|·candidates)
-// memory. -blocked and -shards are mutually exclusive, and neither
-// supports -wal yet.
+// The heavy-traffic path: every /v1/align request is one direct call into
+// the engine's collective decision; per-source answers and candidate lists
+// land in a -cache-size LRU keyed by engine version (invalidated wholesale
+// on hot-swap); responses are encoded through the arena-backed
+// zero-allocation encoder. With -shards N, the source space is partitioned
+// across N consistent-hash replica shards behind an in-process router;
+// answers stay bit-identical to the unsharded engine. With -blocked, the
+// candidate-first pipeline builds a sparse engine (token/neighbour/LSH
+// blocking, candidate-local scores) — serving from Result.FusedSparse in
+// O(|test|·candidates) memory. -blocked and -shards are mutually exclusive,
+// and neither supports -wal yet.
 //
 // The replicated path runs shards as separate processes. A replica
 // (-replica -partition i/N) builds the corpus, keeps its slice of the
@@ -143,10 +140,7 @@ func main() {
 	walPath := flag.String("wal", "", "durable mutation log path; enables POST /v1/mutate")
 	rebuildThreshold := flag.Int("rebuild-threshold", 1, "pending mutations that trigger a background rebuild")
 	rebuildInterval := flag.Duration("rebuild-interval", 0, "periodic drain of sub-threshold pending mutations (0 = threshold only)")
-	coalesceWindow := flag.Duration("coalesce-window", 2*time.Millisecond, "merge concurrent align requests for up to this long (0 = off)")
-	coalesceMaxRows := flag.Int("coalesce-max-rows", 256, "flush a coalescing batch early at this many source rows")
 	cacheSize := flag.Int("cache-size", 4096, "versioned LRU result-cache entries (0 = off)")
-	stdlibEncode := flag.Bool("stdlib-encode", false, "encode responses with encoding/json instead of the arena encoder")
 	shards := flag.Int("shards", 0, "partition the source space across N consistent-hash replica shards (0 = unsharded)")
 	replica := flag.Bool("replica", false, "serve one partition of the source space and the binary row-gather protocol")
 	partition := flag.String("partition", "", "replica: which slice to own, as i/N (e.g. 0/3)")
@@ -214,10 +208,7 @@ func main() {
 	scfg.Breaker.Window = *breakerWindow
 	scfg.Breaker.FailureThreshold = *breakerThreshold
 	scfg.Breaker.Cooldown = *breakerCooldown
-	scfg.CoalesceWindow = *coalesceWindow
-	scfg.CoalesceMaxRows = *coalesceMaxRows
 	scfg.CacheSize = *cacheSize
-	scfg.StdlibEncode = *stdlibEncode
 	srv := serve.NewServer(scfg, rt.Metrics)
 
 	l, err := net.Listen("tcp", *addr)

@@ -19,9 +19,10 @@ import (
 //
 // rows index fused's rows; the returned assignment is positional (entry p
 // is the target chosen for rows[p], -1 if unmatched). topK > 0 truncates
-// each source's preference list as in Config.PreferenceTopK. Duplicate or
-// out-of-range rows are rejected — a duplicated source would compete with
-// itself for its own best target, silently demoting one copy.
+// each source's preference list as in Config.PreferenceTopK. st selects the
+// decision strategy; nil means the pipeline default (deferred acceptance).
+// Duplicate or out-of-range rows are rejected — a duplicated source would
+// compete with itself for its own best target, silently demoting one copy.
 //
 // The gathered submatrix lives in the pooled scratch arena, so steady-state
 // serving traffic does not allocate a fresh decision matrix per request.
@@ -29,14 +30,7 @@ import (
 // Cancellation is cooperative at row granularity during the submatrix
 // gather and checked once more before the matching step, mirroring the
 // row-chunk granularity of the parallel kernels.
-func AlignRows(ctx context.Context, fused *mat.Dense, rows []int, topK int) (match.Assignment, error) {
-	return AlignRowsStrategy(ctx, fused, rows, topK, nil)
-}
-
-// AlignRowsStrategy is AlignRows with an explicit decision strategy. A nil
-// strategy selects the pipeline default (deferred acceptance), bit-identical
-// to AlignRows.
-func AlignRowsStrategy(ctx context.Context, fused *mat.Dense, rows []int, topK int, st match.Strategy) (match.Assignment, error) {
+func AlignRows(ctx context.Context, fused *mat.Dense, rows []int, topK int, st match.Strategy) (match.Assignment, error) {
 	if fused == nil {
 		return nil, fmt.Errorf("core: AlignRows on nil matrix")
 	}
@@ -54,7 +48,7 @@ func AlignRowsStrategy(ctx context.Context, fused *mat.Dense, rows []int, topK i
 		}
 		copy(sub.Row(p), fused.Row(r))
 	}
-	return AlignGatheredStrategy(ctx, sub, topK, st)
+	return AlignGathered(ctx, sub, topK, st)
 }
 
 // validateRowSet rejects out-of-range and duplicated row indices with the
@@ -75,27 +69,20 @@ func validateRowSet(rows []int, bound int) error {
 
 // AlignGathered runs the collective decision over an already-gathered
 // preference matrix — the decision half of AlignRows, split out so callers
-// that build their own submatrices (the coalescer's shared batch gather, the
-// shard router's fan-out merge) reuse the exact decision path.
+// that build their own submatrices (the sharded engine's parallel gather,
+// the router's fan-out merge) reuse the exact decision path. A nil st
+// selects the pipeline default (deferred acceptance).
 //
 // A single-row matrix short-circuits to a linear argmax scan: deferred
 // acceptance over one source degenerates to the source's first preference,
 // which is its maximal target with ties toward the lower index — exactly
 // mat.TopKRow's order — so the scan is bit-identical to the full machinery
-// at a fraction of the cost (no O(C log C) preference sort). Rows containing
-// NaN fall through to the full algorithm, whose NaN ordering the fast path
-// does not reproduce.
-func AlignGathered(ctx context.Context, sub *mat.Dense, topK int) (match.Assignment, error) {
-	return AlignGatheredStrategy(ctx, sub, topK, nil)
-}
-
-// AlignGatheredStrategy is AlignGathered with an explicit decision strategy.
-// A nil strategy selects the pipeline default (deferred acceptance). The
-// single-row argmax fast path applies only to strategies that advertise
-// Caps().ArgmaxSingle — those whose one-source decision provably degenerates
-// to the lowest-index argmax — so strategy output stays bit-identical whether
-// or not the shortcut fires.
-func AlignGatheredStrategy(ctx context.Context, sub *mat.Dense, topK int, st match.Strategy) (match.Assignment, error) {
+// at a fraction of the cost (no O(C log C) preference sort). The shortcut
+// applies only to strategies that advertise Caps().ArgmaxSingle, so
+// strategy output stays bit-identical whether or not it fires. Rows
+// containing NaN fall through to the full algorithm, whose NaN ordering the
+// fast path does not reproduce.
+func AlignGathered(ctx context.Context, sub *mat.Dense, topK int, st match.Strategy) (match.Assignment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -132,82 +119,6 @@ func singleRowChoice(row []float64) (int, bool) {
 	return best, true
 }
 
-// AlignRowGroups answers several independent AlignRows requests in one
-// call: every group's rows are gathered into a single pooled submatrix —
-// one scratch-arena draw and one pass over the fused matrix instead of one
-// per request — and each group then runs its own collective decision over
-// its slice of that matrix. Groups never compete with each other, so entry
-// g of the result is bit-identical to AlignRows(ctx, fused, groups[g],
-// topK). This is the request coalescer's execution primitive.
-//
-// Rows may repeat across groups (two coalesced requests may ask for the
-// same source); duplicates within a group are rejected exactly as in
-// AlignRows.
-func AlignRowGroups(ctx context.Context, fused *mat.Dense, groups [][]int, topK int) ([]match.Assignment, error) {
-	return AlignRowGroupsStrategy(ctx, fused, groups, topK, nil)
-}
-
-// AlignRowGroupsStrategy is AlignRowGroups with a per-group decision
-// strategy: strategies[g] decides group g, nil entries (or a nil slice)
-// select the pipeline default. len(strategies) must be 0 or len(groups).
-func AlignRowGroupsStrategy(ctx context.Context, fused *mat.Dense, groups [][]int, topK int, strategies []match.Strategy) ([]match.Assignment, error) {
-	if fused == nil {
-		return nil, fmt.Errorf("core: AlignRows on nil matrix")
-	}
-	if len(strategies) != 0 && len(strategies) != len(groups) {
-		return nil, fmt.Errorf("core: %d strategies for %d groups", len(strategies), len(groups))
-	}
-	total := 0
-	for _, g := range groups {
-		if err := validateRowSet(g, fused.Rows); err != nil {
-			return nil, err
-		}
-		total += len(g)
-	}
-	out := make([]match.Assignment, len(groups))
-	if total == 0 {
-		for g := range out {
-			out[g] = match.Assignment{}
-		}
-		return out, nil
-	}
-	sub := mat.GetDense(total, fused.Cols)
-	defer mat.PutDense(sub)
-	pos := 0
-	for _, g := range groups {
-		for _, r := range g {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			copy(sub.Row(pos), fused.Row(r))
-			pos++
-		}
-	}
-	off := 0
-	for g, rows := range groups {
-		if len(rows) == 0 {
-			out[g] = match.Assignment{}
-			continue
-		}
-		view := &mat.Dense{
-			Rows: len(rows),
-			Cols: sub.Cols,
-			Data: sub.Data[off*sub.Cols : (off+len(rows))*sub.Cols],
-		}
-		var st match.Strategy
-		if len(strategies) != 0 {
-			st = strategies[g]
-		}
-		asn, err := AlignGatheredStrategy(ctx, view, topK, st)
-		if err != nil {
-			return nil, err
-		}
-		out[g] = asn
-		off += len(rows)
-	}
-	return out, nil
-}
-
 // AlignRowsSparse is AlignRows over the blocked pipeline's candidate
 // structure: the selected sources compete for targets under deferred
 // acceptance restricted to their candidate lists, with the same proposal
@@ -215,15 +126,9 @@ func AlignRowGroupsStrategy(ctx context.Context, fused *mat.Dense, groups [][]in
 // the fused candidate-score structure (Result.FusedSparse), aligned with
 // cands. The returned assignment is positional: entry p is the global
 // target index chosen for rows[p], -1 when the source exhausts its
-// candidates.
-func AlignRowsSparse(ctx context.Context, cands blocking.Candidates, scores [][]float64, rows []int, topK int) (match.Assignment, error) {
-	return AlignRowsSparseStrategy(ctx, cands, scores, rows, topK, nil)
-}
-
-// AlignRowsSparseStrategy is AlignRowsSparse with an explicit decision
-// strategy. A nil strategy selects the pipeline default (sparse deferred
+// candidates. A nil st selects the pipeline default (sparse deferred
 // acceptance); strategies without sparse support are rejected.
-func AlignRowsSparseStrategy(ctx context.Context, cands blocking.Candidates, scores [][]float64, rows []int, topK int, st match.Strategy) (match.Assignment, error) {
+func AlignRowsSparse(ctx context.Context, cands blocking.Candidates, scores [][]float64, rows []int, topK int, st match.Strategy) (match.Assignment, error) {
 	if st != nil && !st.Caps().Sparse {
 		return nil, fmt.Errorf("core: %s assignment needs the dense cost matrix; use the dense pipeline or a sparse decision mode", st.Name())
 	}

@@ -22,7 +22,7 @@ func subsetTestMatrix() *mat.Dense {
 func TestAlignRowsMatchesFullDecision(t *testing.T) {
 	fused := subsetTestMatrix()
 	full := match.DeferredAcceptance(fused)
-	got, err := AlignRows(context.Background(), fused, []int{0, 1, 2}, 0)
+	got, err := AlignRows(context.Background(), fused, []int{0, 1, 2}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestAlignRowsSubsetCompetes(t *testing.T) {
 	fused := subsetTestMatrix()
 	// Sources 0 and 1 both prefer target 0; collectively source 0 (score
 	// 0.9) must win it and source 1 fall back to target 1.
-	got, err := AlignRows(context.Background(), fused, []int{0, 1}, 0)
+	got, err := AlignRows(context.Background(), fused, []int{0, 1}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAlignRowsSubsetCompetes(t *testing.T) {
 		t.Fatalf("collective subset decision = %v, want [0 1]", got)
 	}
 	// Reordering the request must permute the answer, not change it.
-	rev, err := AlignRows(context.Background(), fused, []int{1, 0}, 0)
+	rev, err := AlignRows(context.Background(), fused, []int{1, 0}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +56,16 @@ func TestAlignRowsSubsetCompetes(t *testing.T) {
 
 func TestAlignRowsValidation(t *testing.T) {
 	fused := subsetTestMatrix()
-	if _, err := AlignRows(context.Background(), nil, []int{0}, 0); err == nil {
+	if _, err := AlignRows(context.Background(), nil, []int{0}, 0, nil); err == nil {
 		t.Error("nil matrix accepted")
 	}
-	if _, err := AlignRows(context.Background(), fused, []int{3}, 0); err == nil {
+	if _, err := AlignRows(context.Background(), fused, []int{3}, 0, nil); err == nil {
 		t.Error("out-of-range row accepted")
 	}
-	if _, err := AlignRows(context.Background(), fused, []int{1, 1}, 0); err == nil {
+	if _, err := AlignRows(context.Background(), fused, []int{1, 1}, 0, nil); err == nil {
 		t.Error("duplicate rows accepted")
 	}
-	got, err := AlignRows(context.Background(), fused, nil, 0)
+	got, err := AlignRows(context.Background(), fused, nil, 0, nil)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty rows: got %v, %v", got, err)
 	}
@@ -75,7 +75,7 @@ func TestAlignRowsCancelled(t *testing.T) {
 	fused := subsetTestMatrix()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AlignRows(ctx, fused, []int{0, 1}, 0); !errors.Is(err, context.Canceled) {
+	if _, err := AlignRows(ctx, fused, []int{0, 1}, 0, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled AlignRows returned %v, want context.Canceled", err)
 	}
 }
@@ -83,7 +83,7 @@ func TestAlignRowsCancelled(t *testing.T) {
 func TestAlignRowsTopK(t *testing.T) {
 	fused := subsetTestMatrix()
 	full := match.DeferredAcceptanceTopK(fused, 2)
-	got, err := AlignRows(context.Background(), fused, []int{0, 1, 2}, 2)
+	got, err := AlignRows(context.Background(), fused, []int{0, 1, 2}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		m := randDense(1, 1+trial%37, uint64(trial)+1)
 		want := match.DeferredAcceptance(m)
-		got, err := AlignGathered(ctx, m, 0)
+		got, err := AlignGathered(ctx, m, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 			t.Fatalf("trial %d: fast path %d != DAA %d (row %v)", trial, got[0], want[0], m.Row(0))
 		}
 		wantK := match.DeferredAcceptanceTopK(m, 3)
-		gotK, err := AlignGathered(ctx, m, 3)
+		gotK, err := AlignGathered(ctx, m, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 	// NaN rows must take the full algorithm, not the scan.
 	m := mat.FromRows([][]float64{{0.5, nan(), 0.9}})
 	want := match.DeferredAcceptance(m)
-	got, err := AlignGathered(ctx, m, 0)
+	got, err := AlignGathered(ctx, m, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,86 +141,13 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 		t.Fatalf("NaN row: fast path %d != DAA %d", got[0], want[0])
 	}
 	// Zero-column rows stay unmatched either way.
-	empty, err := AlignGathered(ctx, mat.NewDense(1, 0), 0)
+	empty, err := AlignGathered(ctx, mat.NewDense(1, 0), 0, nil)
 	if err != nil || empty[0] != -1 {
 		t.Fatalf("empty row: got %v, %v", empty, err)
 	}
 }
 
 func nan() float64 { return math.NaN() }
-
-// TestAlignRowGroupsBitIdentity pins the coalescer's execution primitive:
-// every group's assignment equals an independent AlignRows call, for
-// randomized groups that overlap across (but not within) groups.
-func TestAlignRowGroupsBitIdentity(t *testing.T) {
-	ctx := context.Background()
-	for trial := 0; trial < 50; trial++ {
-		n := 5 + trial%20
-		fused := randDense(n, n, uint64(trial)*31+7)
-		s := uint64(trial) + 99
-		next := func(mod int) int {
-			s = s*6364136223846793005 + 1442695040888963407
-			return int((s >> 33) % uint64(mod))
-		}
-		groups := make([][]int, 1+next(4))
-		for g := range groups {
-			seen := map[int]bool{}
-			for len(groups[g]) < 1+next(n) {
-				r := next(n)
-				if !seen[r] {
-					seen[r] = true
-					groups[g] = append(groups[g], r)
-				}
-			}
-		}
-		topK := 0
-		if trial%3 == 0 {
-			topK = 1 + next(n)
-		}
-		got, err := AlignRowGroups(ctx, fused, groups, topK)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for g, rows := range groups {
-			want, err := AlignRows(ctx, fused, rows, topK)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p := range want {
-				if got[g][p] != want[p] {
-					t.Fatalf("trial %d group %d pos %d: grouped %d != solo %d (rows %v)",
-						trial, g, p, got[g][p], want[p], rows)
-				}
-			}
-		}
-	}
-}
-
-func TestAlignRowGroupsValidation(t *testing.T) {
-	ctx := context.Background()
-	fused := subsetTestMatrix()
-	if _, err := AlignRowGroups(ctx, nil, [][]int{{0}}, 0); err == nil {
-		t.Error("nil matrix accepted")
-	}
-	if _, err := AlignRowGroups(ctx, fused, [][]int{{0}, {5}}, 0); err == nil {
-		t.Error("out-of-range row accepted")
-	}
-	if _, err := AlignRowGroups(ctx, fused, [][]int{{1, 1}}, 0); err == nil {
-		t.Error("within-group duplicate accepted")
-	}
-	// Across-group duplicates are the point of coalescing: allowed.
-	got, err := AlignRowGroups(ctx, fused, [][]int{{0, 1}, {0}, {}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || len(got[1]) != 1 || got[1][0] != 0 || len(got[2]) != 0 {
-		t.Fatalf("grouped result malformed: %v", got)
-	}
-	out, err := AlignRowGroups(ctx, fused, nil, 0)
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty groups: got %v, %v", out, err)
-	}
-}
 
 // TestAlignRowsSparseMatchesDense pins the sparse subset decision against
 // the dense AlignRows on full candidate lists (every target a candidate of
@@ -257,11 +184,11 @@ func TestAlignRowsSparseMatchesDense(t *testing.T) {
 		if trial%2 == 0 {
 			topK = 1 + next(n+2)
 		}
-		want, err := AlignRows(ctx, fused, rows, topK)
+		want, err := AlignRows(ctx, fused, rows, topK, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AlignRowsSparse(ctx, cands, scores, rows, topK)
+		got, err := AlignRowsSparse(ctx, cands, scores, rows, topK, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,22 +205,22 @@ func TestAlignRowsSparseValidation(t *testing.T) {
 	ctx := context.Background()
 	cands := blocking.Candidates{{0, 1}, {1}}
 	scores := [][]float64{{0.9, 0.1}, {0.8}}
-	if _, err := AlignRowsSparse(ctx, cands, scores[:1], []int{0}, 0); err == nil {
+	if _, err := AlignRowsSparse(ctx, cands, scores[:1], []int{0}, 0, nil); err == nil {
 		t.Error("mismatched cands/scores accepted")
 	}
-	if _, err := AlignRowsSparse(ctx, cands, scores, []int{2}, 0); err == nil {
+	if _, err := AlignRowsSparse(ctx, cands, scores, []int{2}, 0, nil); err == nil {
 		t.Error("out-of-range row accepted")
 	}
-	if _, err := AlignRowsSparse(ctx, cands, scores, []int{0, 0}, 0); err == nil {
+	if _, err := AlignRowsSparse(ctx, cands, scores, []int{0, 0}, 0, nil); err == nil {
 		t.Error("duplicate rows accepted")
 	}
-	got, err := AlignRowsSparse(ctx, cands, scores, nil, 0)
+	got, err := AlignRowsSparse(ctx, cands, scores, nil, 0, nil)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty rows: got %v, %v", got, err)
 	}
 	// Both sources want target 1's column? Source 0 prefers target 0 (0.9);
 	// source 1 only candidates target 1: no competition, both matched.
-	asn, err := AlignRowsSparse(ctx, cands, scores, []int{0, 1}, 0)
+	asn, err := AlignRowsSparse(ctx, cands, scores, []int{0, 1}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

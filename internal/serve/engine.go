@@ -76,12 +76,13 @@ type Aligner interface {
 	Candidates(ctx context.Context, row, k int) ([]Candidate, error)
 }
 
-// GroupAligner is the optional batched surface the coalescer prefers:
-// several independent align requests answered in one pass over the engine.
-// Group g of the result must be bit-identical to AlignCollective(ctx,
-// groups[g], strategies[g]) — groups share the gather, never the
-// competition or the strategy. A nil strategies slice means every group
-// uses the default.
+// GroupAligner is a grouped align surface: several independent requests
+// answered in one call. No type in this package implements it; every align
+// is one AlignCollective call.
+//
+// Deprecated: kept only because the ceaffbench module's tracing wrapper,
+// written for the removed request coalescer, still names it. It goes once
+// that reference does.
 type GroupAligner interface {
 	AlignCollectiveGroups(ctx context.Context, groups [][]int, strategies []string) ([][]Decision, error)
 }
@@ -93,23 +94,6 @@ func strategyFor(name string) (match.Strategy, error) {
 		return nil, nil
 	}
 	return match.ByName(name)
-}
-
-// strategiesFor maps per-group strategy names the same way; a nil or empty
-// input yields a nil slice (all defaults).
-func strategiesFor(names []string) ([]match.Strategy, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	out := make([]match.Strategy, len(names))
-	for i, name := range names {
-		st, err := strategyFor(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
 }
 
 // Engine holds the offline pipeline's output in memory and answers online
@@ -210,7 +194,7 @@ func (e *Engine) Resolve(key string) (int, bool) {
 // strategy (Hungarian included — the dense matrix is in memory).
 func (e *Engine) Strategies() []string { return match.StrategyNames() }
 
-// AlignCollective implements Aligner via core.AlignRowsStrategy: the
+// AlignCollective implements Aligner via core.AlignRows: the
 // requested sources compete for targets under the selected decision
 // strategy (deferred acceptance when strategy is ""), exactly as the batch
 // pipeline decides, restricted to the queried rows.
@@ -219,35 +203,13 @@ func (e *Engine) AlignCollective(ctx context.Context, rows []int, strategy strin
 	if err != nil {
 		return nil, err
 	}
-	asn, err := core.AlignRowsStrategy(ctx, e.fused, rows, e.topK, st)
+	asn, err := core.AlignRows(ctx, e.fused, rows, e.topK, st)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Decision, len(rows))
 	for p, row := range rows {
 		out[p] = e.decision(row, asn[p])
-	}
-	return out, nil
-}
-
-// AlignCollectiveGroups implements GroupAligner via core.AlignRowGroups:
-// one pooled gather over all groups' rows, one collective decision per
-// group — the coalescer's amortized execution path.
-func (e *Engine) AlignCollectiveGroups(ctx context.Context, groups [][]int, strategies []string) ([][]Decision, error) {
-	sts, err := strategiesFor(strategies)
-	if err != nil {
-		return nil, err
-	}
-	asns, err := core.AlignRowGroupsStrategy(ctx, e.fused, groups, e.topK, sts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Decision, len(groups))
-	for g, rows := range groups {
-		out[g] = make([]Decision, len(rows))
-		for p, row := range rows {
-			out[g][p] = e.decision(row, asns[g][p])
-		}
 	}
 	return out, nil
 }

@@ -292,7 +292,7 @@ func (p *Partition) AlignCollective(ctx context.Context, rows []int, strategy st
 	for i, row := range rows {
 		copy(sub.Row(i), p.fused.Row(p.local[row]))
 	}
-	asn, err := core.AlignGatheredStrategy(ctx, sub, p.topK, st)
+	asn, err := core.AlignGathered(ctx, sub, p.topK, st)
 	if err != nil {
 		return nil, err
 	}

@@ -39,19 +39,15 @@ type Config struct {
 	DefaultTopK, MaxTopK int
 	// Breaker configures the circuit breaker over the collective path.
 	Breaker BreakerConfig
-	// CoalesceWindow is how long an align request waits for concurrent
-	// requests to merge into one batched collective call; 0 disables
-	// coalescing (every request runs its own decision immediately).
-	CoalesceWindow time.Duration
-	// CoalesceMaxRows flushes a coalescing batch early once this many
-	// source rows have accumulated.
-	CoalesceMaxRows int
 	// CacheSize bounds the versioned result cache (entries); 0 disables it.
 	CacheSize int
-	// StdlibEncode routes responses through encoding/json instead of the
-	// arena-backed encoder — the A/B lever for the allocation benchmarks
-	// and a paranoia escape hatch.
-	StdlibEncode bool
+	// CoalesceWindow is read by nothing: every align is one direct engine
+	// call.
+	//
+	// Deprecated: kept only because the ceaffbench module's reference
+	// server, written for the removed request coalescer, still assigns it.
+	// It goes once that assignment does.
+	CoalesceWindow time.Duration
 	// Now replaces the clock used for queue-wait accounting and deadline
 	// budgeting; tests inject a fake to pin the elapsed-wait subtraction.
 	// Nil uses time.Now.
@@ -61,18 +57,16 @@ type Config struct {
 // DefaultServerConfig returns production-shaped defaults.
 func DefaultServerConfig() Config {
 	return Config{
-		MaxInFlight:     16,
-		MaxQueue:        64,
-		RetryAfter:      time.Second,
-		DefaultTimeout:  5 * time.Second,
-		MaxTimeout:      30 * time.Second,
-		MaxBatch:        256,
-		DefaultTopK:     10,
-		MaxTopK:         100,
-		Breaker:         DefaultBreakerConfig(),
-		CoalesceWindow:  2 * time.Millisecond,
-		CoalesceMaxRows: 256,
-		CacheSize:       4096,
+		MaxInFlight:    16,
+		MaxQueue:       64,
+		RetryAfter:     time.Second,
+		DefaultTimeout: 5 * time.Second,
+		MaxTimeout:     30 * time.Second,
+		MaxBatch:       256,
+		DefaultTopK:    10,
+		MaxTopK:        100,
+		Breaker:        DefaultBreakerConfig(),
+		CacheSize:      4096,
 	}
 }
 
@@ -99,8 +93,7 @@ type Server struct {
 	engineVersion atomic.Uint64
 	stale         atomic.Bool
 
-	coalesce *coalescer
-	cache    *resultCache
+	cache *resultCache
 
 	requests         *obs.Counter
 	fallbacks        *obs.Counter
@@ -160,7 +153,6 @@ func NewServer(cfg Config, reg *obs.Registry) *Server {
 		handlerTime:      reg.Histogram("serve.handler.seconds"),
 	}
 	s.cache = newResultCache(cfg.CacheSize, reg)
-	s.coalesce = newCoalescer(cfg.CoalesceWindow, cfg.CoalesceMaxRows, cfg.DefaultTimeout, reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -323,7 +315,7 @@ func (s *Server) guard(next http.Handler) http.Handler {
 
 		// The budget is end-to-end from the client's perspective: time
 		// already burnt waiting for an admission slot comes out of it, so a
-		// handler fanning out downstream (coalescer, replica gathers) can
+		// handler fanning out downstream (replica gathers) can
 		// never consume more than the granted deadline. A budget fully
 		// consumed in the queue is answered 504 without running the handler.
 		remaining := budget - waited
@@ -497,12 +489,12 @@ func (s *Server) resolveStrategy(a Aligner, name string) (string, error) {
 		canon, strings.Join(supported, ", "))
 }
 
-// alignCollective answers the collective decision for rows through the
-// result cache and the coalescer. Only default-strategy requests touch the
-// cache — per-row keys mean per-row answers, and a non-default strategy's
-// answer is a different function of the same row. Degraded fallback answers
-// never reach here, so the cache only ever holds full-fidelity collective
-// results.
+// alignCollective answers the collective decision for rows: a cache
+// lookup, then one direct engine call, then cache admission. Only
+// default-strategy requests touch the cache — per-row keys mean per-row
+// answers, and a non-default strategy's answer is a different function of
+// the same row. Degraded fallback answers never reach here, so the cache
+// only ever holds full-fidelity collective results.
 func (s *Server) alignCollective(ctx context.Context, box *alignerBox, rows []int, strategy string) ([]Decision, error) {
 	cacheable := strategy == ""
 	if cacheable {
@@ -510,20 +502,7 @@ func (s *Server) alignCollective(ctx context.Context, box *alignerBox, rows []in
 			return results, nil
 		}
 	}
-	var results []Decision
-	var err error
-	if s.coalesce != nil {
-		select {
-		case res := <-s.coalesce.submit(box, rows, strategy):
-			results, err = res.decisions, res.err
-		case <-ctx.Done():
-			// The batch keeps running for its other members; this caller's
-			// budget is spent. The buffered done channel absorbs the result.
-			return nil, ctx.Err()
-		}
-	} else {
-		results, err = box.a.AlignCollective(ctx, rows, strategy)
-	}
+	results, err := box.a.AlignCollective(ctx, rows, strategy)
 	if err == nil && cacheable {
 		s.cacheAdmit(box.version, rows, results)
 	}

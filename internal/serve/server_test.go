@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"ceaff/internal/mat"
 	"ceaff/internal/match"
 	"ceaff/internal/obs"
 	"ceaff/internal/robust"
@@ -145,10 +147,6 @@ func postAlign(t *testing.T, client *http.Client, url string, hdr map[string]str
 func testServerConfig() Config {
 	cfg := DefaultServerConfig()
 	cfg.Breaker.Now = func() time.Time { return time.Unix(0, 0) }
-	// The lifecycle/flood/breaker tests pin the direct execution path:
-	// gated stubs count concurrent AlignCollective calls, which coalescing
-	// deliberately serializes. The coalescer has its own suite.
-	cfg.CoalesceWindow = 0
 	return cfg
 }
 
@@ -518,4 +516,173 @@ func TestServerLifecycleAndGoroutines(t *testing.T) {
 	// Everything spawned by the server lifecycle must be gone.
 	client.CloseIdleConnections()
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseline })
+}
+
+// coalesceTestMatrix builds a deterministic fused matrix with deliberate
+// score collisions so tie-breaks matter.
+func coalesceTestMatrix(n int) *mat.Dense {
+	m := mat.NewDense(n, n)
+	s := uint64(5)
+	for i := range m.Data {
+		s = s*6364136223846793005 + 1442695040888963407
+		m.Data[i] = float64((s>>33)%23) / 23
+	}
+	return m
+}
+
+// postAlignRaw returns the raw response bytes of one align POST.
+func postAlignRaw(t *testing.T, client *http.Client, url string, keys ...string) (int, []byte) {
+	t.Helper()
+	resp, err := client.Post(url+"/v1/align", "application/json", alignBody(keys...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestCachedResponseBitIdentityUnderConcurrency pins the serving path's
+// byte identity: concurrent requests answered cold by the engine and, on
+// repeat, from the result cache return byte-for-byte the responses an
+// uncached server produces for the same keys. Runs in the GOMAXPROCS=1/4
+// determinism suite.
+func TestCachedResponseBitIdentityUnderConcurrency(t *testing.T) {
+	const n = 24
+	engine := literalEngine(coalesceTestMatrix(n))
+
+	plainCfg := testServerConfig()
+	plainCfg.CacheSize = 0
+	plain := NewServer(plainCfg, obs.NewRegistry())
+	plain.SetAligner(engine)
+	plainTS := httptest.NewServer(plain.Handler())
+	defer plainTS.Close()
+
+	cachedCfg := testServerConfig()
+	cachedCfg.CacheSize = 64
+	cachedCfg.MaxInFlight = 64
+	cachedCfg.MaxQueue = 256
+	cached := NewServer(cachedCfg, obs.NewRegistry())
+	cached.SetAligner(engine)
+	cachedTS := httptest.NewServer(cached.Handler())
+	defer cachedTS.Close()
+
+	// Reference answers from the plain server, one request per key set.
+	r := rand.New(rand.NewSource(77))
+	type query struct{ keys []string }
+	queries := make([]query, 64)
+	for i := range queries {
+		nkeys := 1 + r.Intn(3)
+		seen := map[int]bool{}
+		var keys []string
+		for len(keys) < nkeys {
+			row := r.Intn(n)
+			if !seen[row] {
+				seen[row] = true
+				keys = append(keys, fmt.Sprint(row))
+			}
+		}
+		queries[i] = query{keys: keys}
+	}
+	client := plainTS.Client()
+	want := make([][]byte, len(queries))
+	for i, q := range queries {
+		status, body := postAlignRaw(t, client, plainTS.URL, q.keys...)
+		if status != http.StatusOK {
+			t.Fatalf("plain query %v: status %d", q.keys, status)
+		}
+		want[i] = body
+	}
+
+	// Fire all queries at the caching server concurrently, twice — the
+	// second round answers single-source queries from the cache. Every
+	// response must match the plain server's bytes.
+	cc := cachedTS.Client()
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan string, len(queries))
+		for i, q := range queries {
+			wg.Add(1)
+			go func(i int, q query) {
+				defer wg.Done()
+				status, body := postAlignRaw(t, cc, cachedTS.URL, q.keys...)
+				if status != http.StatusOK {
+					errs <- fmt.Sprintf("round %d query %v: status %d", round, q.keys, status)
+					return
+				}
+				if string(body) != string(want[i]) {
+					errs <- fmt.Sprintf("round %d query %v:\n got %s\nwant %s", round, q.keys, body, want[i])
+				}
+			}(i, q)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
+	}
+
+	if hits := cached.reg.Counter("serve.cache.hits").Value(); hits == 0 {
+		t.Fatal("second round produced no cache hits")
+	}
+}
+
+// TestCacheInvalidationOnHotSwap is the chaos-style satellite: answers
+// cached under one engine version must never be served after a Publish,
+// even for the same source key.
+func TestCacheInvalidationOnHotSwap(t *testing.T) {
+	cfg := testServerConfig()
+	cfg.CacheSize = 64
+	srv := NewServer(cfg, obs.NewRegistry())
+
+	v1 := literalEngine(mat.FromRows([][]float64{{0.9, 0.1}, {0.2, 0.8}}))
+	srv.Publish(v1, 1)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	_, body1 := postAlignRaw(t, client, ts.URL, "0")
+	_, again := postAlignRaw(t, client, ts.URL, "0")
+	if string(body1) != string(again) {
+		t.Fatalf("cached answer differs:\n%s\n%s", body1, again)
+	}
+	if srv.reg.Counter("serve.cache.hits").Value() == 0 {
+		t.Fatal("repeat query did not hit the cache")
+	}
+
+	// Swap in an engine whose row 0 prefers the other target. A stale
+	// cached answer would still name target A.
+	v2 := literalEngine(mat.FromRows([][]float64{{0.1, 0.9}, {0.8, 0.2}}))
+	srv.Publish(v2, 2)
+	_, body2 := postAlignRaw(t, client, ts.URL, "0")
+	if string(body2) == string(body1) {
+		t.Fatalf("post-swap answer identical to pre-swap: %s", body2)
+	}
+	var resp alignResponse
+	if err := json.Unmarshal(body2, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Results[0].TargetIndex != 1 {
+		t.Fatalf("post-swap target %d, want 1 (stale cache?)", resp.Results[0].TargetIndex)
+	}
+
+	// Candidates go through the same versioned keys.
+	cresp, err := client.Get(ts.URL + "/v1/entity/0/candidates?k=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cbody, _ := io.ReadAll(cresp.Body)
+	cresp.Body.Close()
+	var cands struct {
+		Candidates []Candidate `json:"candidates"`
+	}
+	if err := json.Unmarshal(cbody, &cands); err != nil {
+		t.Fatal(err)
+	}
+	if len(cands.Candidates) != 1 || cands.Candidates[0].TargetIndex != 1 {
+		t.Fatalf("post-swap candidates %+v, want target 1 first", cands.Candidates)
+	}
 }

@@ -146,16 +146,16 @@ func validRequestRows(rows []int, n int) error {
 	return nil
 }
 
-// gatherShards fills sub rows [offset, offset+len(rows)) with the fused
-// rows of rows, fanning out one goroutine per participating shard. Writes
-// are disjoint by construction, so no synchronization beyond the join is
-// needed; shards not owning any requested row do no work.
-func (se *ShardedEngine) gatherShards(sub *mat.Dense, rows []int, offset int) {
+// gatherShards fills sub row p with the fused row of rows[p], fanning out
+// one goroutine per participating shard. Writes are disjoint by
+// construction, so no synchronization beyond the join is needed; shards not
+// owning any requested row do no work.
+func (se *ShardedEngine) gatherShards(sub *mat.Dense, rows []int) {
 	type pick struct{ dst, local int }
 	work := make(map[int][]pick, len(se.shards))
 	for p, r := range rows {
 		s := se.owner[r]
-		work[s] = append(work[s], pick{dst: offset + p, local: se.local[r]})
+		work[s] = append(work[s], pick{dst: p, local: se.local[r]})
 	}
 	if len(work) == 1 {
 		for s, picks := range work {
@@ -199,69 +199,14 @@ func (se *ShardedEngine) AlignCollective(ctx context.Context, rows []int, strate
 	nTgt := len(se.tgtNames)
 	sub := mat.GetDense(len(rows), nTgt)
 	defer mat.PutDense(sub)
-	se.gatherShards(sub, rows, 0)
-	asn, err := core.AlignGatheredStrategy(ctx, sub, se.topK, st)
+	se.gatherShards(sub, rows)
+	asn, err := core.AlignGathered(ctx, sub, se.topK, st)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Decision, len(rows))
 	for p, row := range rows {
 		out[p] = se.decision(row, asn[p])
-	}
-	return out, nil
-}
-
-// AlignCollectiveGroups implements GroupAligner: all groups share one
-// pooled gather (still sharded), then each group runs its own decision.
-func (se *ShardedEngine) AlignCollectiveGroups(ctx context.Context, groups [][]int, strategies []string) ([][]Decision, error) {
-	sts, err := strategiesFor(strategies)
-	if err != nil {
-		return nil, err
-	}
-	if len(sts) != 0 && len(sts) != len(groups) {
-		return nil, fmt.Errorf("serve: %d strategies for %d groups", len(sts), len(groups))
-	}
-	total := 0
-	for _, g := range groups {
-		if err := se.validRows(g); err != nil {
-			return nil, err
-		}
-		total += len(g)
-	}
-	out := make([][]Decision, len(groups))
-	if total == 0 {
-		for g := range out {
-			out[g] = []Decision{}
-		}
-		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	nTgt := len(se.tgtNames)
-	sub := mat.GetDense(total, nTgt)
-	defer mat.PutDense(sub)
-	off := 0
-	for _, g := range groups {
-		se.gatherShards(sub, g, off)
-		off += len(g)
-	}
-	off = 0
-	for g, rows := range groups {
-		view := &mat.Dense{Rows: len(rows), Cols: nTgt, Data: sub.Data[off*nTgt : (off+len(rows))*nTgt]}
-		var st match.Strategy
-		if len(sts) != 0 {
-			st = sts[g]
-		}
-		asn, err := core.AlignGatheredStrategy(ctx, view, se.topK, st)
-		if err != nil {
-			return nil, err
-		}
-		out[g] = make([]Decision, len(rows))
-		for p, row := range rows {
-			out[g][p] = se.decision(row, asn[p])
-		}
-		off += len(rows)
 	}
 	return out, nil
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // TestShardedEngineBitIdentity pins the sharded router's contract: for any
-// shard count, every response — collective, greedy, grouped, candidates —
-// is bit-identical to the unsharded engine. Runs in the GOMAXPROCS=1/4
+// shard count, every response — collective, greedy, candidates — is
+// bit-identical to the unsharded engine. Runs in the GOMAXPROCS=1/4
 // determinism suite.
 func TestShardedEngineBitIdentity(t *testing.T) {
 	const n = 30
@@ -83,28 +83,6 @@ func TestShardedEngineBitIdentity(t *testing.T) {
 			}
 			if !reflect.DeepEqual(gotC, wantC) {
 				t.Fatalf("%d shards candidates row %d:\n got %+v\nwant %+v", nshards, rows[0], gotC, wantC)
-			}
-		}
-
-		// Grouped execution (the coalescer path) against per-group calls.
-		groups := [][]int{{0, 5, 9}, {2}, {}, {7, 1}}
-		gotG, err := se.AlignCollectiveGroups(ctx, groups, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for g, rows := range groups {
-			if len(rows) == 0 {
-				if len(gotG[g]) != 0 {
-					t.Fatalf("%d shards: empty group got %+v", nshards, gotG[g])
-				}
-				continue
-			}
-			want, err := base.AlignCollective(ctx, rows, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotG[g], want) {
-				t.Fatalf("%d shards group %d:\n got %+v\nwant %+v", nshards, g, gotG[g], want)
 			}
 		}
 	}

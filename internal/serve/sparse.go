@@ -111,32 +111,13 @@ func (e *SparseEngine) AlignCollective(ctx context.Context, rows []int, strategy
 	if err != nil {
 		return nil, err
 	}
-	asn, err := core.AlignRowsSparseStrategy(ctx, e.cands, e.scores, rows, e.topK, st)
+	asn, err := core.AlignRowsSparse(ctx, e.cands, e.scores, rows, e.topK, st)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Decision, len(rows))
 	for p, row := range rows {
 		out[p] = e.decision(row, asn[p])
-	}
-	return out, nil
-}
-
-// AlignCollectiveGroups implements GroupAligner. Sparse groups need no
-// shared gather — candidate rows are referenced, not copied — so grouped
-// execution is a loop over the per-group decisions.
-func (e *SparseEngine) AlignCollectiveGroups(ctx context.Context, groups [][]int, strategies []string) ([][]Decision, error) {
-	out := make([][]Decision, len(groups))
-	for g, rows := range groups {
-		strategy := ""
-		if len(strategies) != 0 {
-			strategy = strategies[g]
-		}
-		d, err := e.AlignCollective(ctx, rows, strategy)
-		if err != nil {
-			return nil, err
-		}
-		out[g] = d
 	}
 	return out, nil
 }

@@ -92,18 +92,6 @@ func TestSparseEngineBitIdentity(t *testing.T) {
 			}
 		}
 	}
-	// Grouped execution agrees with per-group calls.
-	groups := [][]int{{0, 4}, {2}, {9, 1, 5}}
-	gotG, err := sparse.AlignCollectiveGroups(ctx, groups, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g, rows := range groups {
-		want, _ := sparse.AlignCollective(ctx, rows, "")
-		if !reflect.DeepEqual(gotG[g], want) {
-			t.Fatalf("group %d mismatch", g)
-		}
-	}
 }
 
 // TestSparseEngineTruncatedCandidates exercises genuinely sparse lists: a
