@@ -57,17 +57,20 @@ serve-smoke:
 replica-smoke:
 	sh scripts/replica-smoke.sh
 
-# Boot ceaffd and drive it with the open-loop generator for a latency
-# report (no gates). Knobs: LOAD_RATE, LOAD_DURATION, LOAD_BATCH,
-# LOAD_ARGS ("-shards 4", "-blocked", ...), LOAD_JSON.
-loadtest:
-	sh scripts/loadtest.sh
+# Boot ceaffd and drive it with ceaffbench's hot-single workload: open-loop
+# traffic, a latency report, and every answer compared byte for byte with
+# an in-process reference engine (a mismatch, non-200 or shed fails it).
+LOADTEST := bash ceaffbench/run.sh --workload hot-single --seed 1 --trace 0
+LOADTEST_OUT := /tmp/ceaff-loadtest.txt
 
-# Short gated run for CI: p95 must stay under 250ms and nothing may be
-# shed at a modest rate on the tiny smoke corpus.
+loadtest:
+	$(LOADTEST)
+
+# Short gated run for CI: the same run for 3 seconds, which must pass the
+# byte oracle with nothing shed and a p95 of at most 250ms.
 loadtest-smoke:
-	LOAD_RATE=400 LOAD_DURATION=5s LOAD_P95_MAX=250ms LOAD_SHED_MAX=0 \
-		sh scripts/loadtest.sh
+	bash -o pipefail -c '$(LOADTEST) --seconds 3 | tee $(LOADTEST_OUT)'
+	awk '$$2 == "p95_ms" { p95 = $$3 } END { if (p95 == "" || p95 > 250) { print "loadtest-smoke: p95_ms " p95 ", want <= 250"; exit 1 } }' $(LOADTEST_OUT)
 
 # Brief random-input runs of the native fuzz targets (go test -fuzz allows
 # one target per invocation).
@@ -83,7 +86,7 @@ cover:
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . | tee /tmp/ceaff-bench.txt
 	go run ./cmd/ceaff -fast -scale 0.05 -metrics /tmp/ceaff-pipeline.json
-	LOAD_JSON=1 LOAD_DURATION=5s sh scripts/loadtest.sh | tee /tmp/ceaff-loadtest.txt
+	$(LOADTEST) --seconds 5 | tee $(LOADTEST_OUT)
 	go run ./cmd/benchfold -bench /tmp/ceaff-bench.txt \
-		-note "loadtest=$$(grep '^{' /tmp/ceaff-loadtest.txt | tail -1)" \
+		-note "loadtest=$$(grep '^{' $(LOADTEST_OUT) | tail -1)" \
 		-o $(BENCHOUT) /tmp/ceaff-pipeline.json

@@ -494,8 +494,9 @@ func BenchmarkTrainEpochSerialMedium(b *testing.B) { benchTrainEpoch(b, true) }
 //
 // The BenchmarkServeAlign* family drives the daemon's HTTP handler with
 // 64 concurrent clients issuing single-source align queries over a 512 x
-// 4096 engine — large enough that answering from scratch does real work.
-// ZeroAlloc decides every query (no cache); HeavyTraffic is the production
+// 8192 engine — large enough that answering from scratch does real work.
+// ZeroAlloc decides every query (no cache); Sharded does the same through
+// the in-process partitioned Router; HeavyTraffic is the production
 // default (versioned cache + arena encoder). One benchmark op is a full
 // sweep of benchServeOps requests, so the suite stays meaningful at the 3x
 // benchtime the regression gate uses (per-request timing at 3 iterations
@@ -531,14 +532,14 @@ func benchServeEngine(b *testing.B) *serve.Engine {
 	return e
 }
 
-func benchServeAlign(b *testing.B, tune func(*serve.Config)) {
+func benchServeAlign(b *testing.B, a serve.Aligner, tune func(*serve.Config)) {
 	cfg := serve.DefaultServerConfig()
 	cfg.MaxInFlight = 2 * benchServeClients
 	cfg.MaxQueue = 8 * benchServeClients
 	cfg.CacheSize = 0
 	tune(&cfg)
 	srv := serve.NewServer(cfg, obs.NewRegistry())
-	srv.SetAligner(benchServeEngine(b))
+	srv.SetAligner(a)
 	h := srv.Handler()
 
 	bodies := make([][]byte, benchServeSources)
@@ -592,13 +593,24 @@ func benchServeAlign(b *testing.B, tune func(*serve.Config)) {
 // BenchmarkServeAlignZeroAlloc is the uncached path: every query runs the
 // collective decision, and the response bytes are built in pooled scratch.
 func BenchmarkServeAlignZeroAlloc(b *testing.B) {
-	benchServeAlign(b, func(cfg *serve.Config) {})
+	benchServeAlign(b, benchServeEngine(b), func(cfg *serve.Config) {})
+}
+
+// BenchmarkServeAlignSharded is ZeroAlloc's load through the `-shards 4`
+// topology: a Router over four in-process partitions gathers each query's
+// row, then decides centrally.
+func BenchmarkServeAlignSharded(b *testing.B) {
+	rt, err := serve.NewShardedRouter(benchServeEngine(b), 4, obs.NewRegistry())
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchServeAlign(b, rt, func(cfg *serve.Config) {})
 }
 
 // BenchmarkServeAlignHeavyTraffic is the shipped default: versioned result
 // cache + arena encoder.
 func BenchmarkServeAlignHeavyTraffic(b *testing.B) {
-	benchServeAlign(b, func(cfg *serve.Config) {
+	benchServeAlign(b, benchServeEngine(b), func(cfg *serve.Config) {
 		cfg.CacheSize = 4 * benchServeSources
 	})
 }

@@ -46,12 +46,13 @@
 // land in a -cache-size LRU keyed by engine version (invalidated wholesale
 // on hot-swap); responses are encoded through the arena-backed
 // zero-allocation encoder. With -shards N, the source space is partitioned
-// across N consistent-hash replica shards behind an in-process router;
-// answers stay bit-identical to the unsharded engine. With -blocked, the
-// candidate-first pipeline builds a sparse engine (token/neighbour/LSH
-// blocking, candidate-local scores) — serving from Result.FusedSparse in
-// O(|test|·candidates) memory. -blocked and -shards are mutually exclusive,
-// and neither supports -wal yet.
+// across N consistent-hash partitions behind an in-process Router — the
+// same gather-then-decide path as the replicated fleet below, over local
+// transports — and answers stay bit-identical to the unsharded engine.
+// With -blocked, the candidate-first pipeline builds a sparse engine
+// (token/neighbour/LSH blocking, candidate-local scores) — serving from
+// Result.FusedSparse in O(|test|·candidates) memory. -blocked and -shards
+// are mutually exclusive, and neither supports -wal yet.
 //
 // The replicated path runs shards as separate processes. A replica
 // (-replica -partition i/N) builds the corpus, keeps its slice of the
@@ -312,12 +313,12 @@ func main() {
 		logDegraded(engine)
 		var aligner serve.Aligner = engine
 		if *shards > 0 {
-			sharded, err := serve.NewShardedEngine(engine, *shards)
+			sharded, err := serve.NewShardedRouter(engine, *shards, rt.Metrics)
 			if err != nil {
 				fatalStartup(ctx, err)
 			}
 			aligner = sharded
-			log.Printf("sharded: %d consistent-hash replicas", sharded.NumShards())
+			log.Printf("sharded: %d consistent-hash partitions", sharded.NumPartitions())
 		}
 		srv.SetAligner(aligner)
 		log.Printf("ready after %.1fs (%d sources)", time.Since(start).Seconds(), engine.NumSources())

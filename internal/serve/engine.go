@@ -122,23 +122,13 @@ func NewEngine(ctx context.Context, in *core.Input, cfg core.Config) (*Engine, e
 	if err != nil {
 		return nil, fmt.Errorf("serve: offline decision: %w", err)
 	}
-	srcNames := make([]string, len(in.Tests))
-	tgtNames := make([]string, len(in.Tests))
-	byName := make(map[string]int, len(in.Tests))
-	for i, p := range in.Tests {
-		srcNames[i] = in.G1.EntityName(p.U)
-		tgtNames[i] = in.G2.EntityName(p.V)
-		// First occurrence wins on duplicate names; indices always work.
-		if _, ok := byName[srcNames[i]]; !ok {
-			byName[srcNames[i]] = i
-		}
-	}
+	srcNames, tgtNames := testPairNames(in)
 	return &Engine{
 		fused:    res.Fused,
 		feats:    fs,
 		srcNames: srcNames,
 		tgtNames: tgtNames,
-		byName:   byName,
+		byName:   nameIndex(srcNames),
 		greedy:   match.Greedy(res.Fused),
 		topK:     cfg.PreferenceTopK,
 		degraded: res.Degraded,
@@ -153,21 +143,52 @@ func NewStaticEngine(fused *mat.Dense, feats *core.FeatureSet, srcNames, tgtName
 	if fused == nil || fused.Rows != len(srcNames) || fused.Cols != len(tgtNames) {
 		return nil, fmt.Errorf("serve: fused shape does not match %d sources x %d targets", len(srcNames), len(tgtNames))
 	}
+	return &Engine{
+		fused:    fused,
+		feats:    feats,
+		srcNames: srcNames,
+		tgtNames: tgtNames,
+		byName:   nameIndex(srcNames),
+		greedy:   match.Greedy(fused),
+		topK:     topK,
+	}, nil
+}
+
+// testPairNames names the test pairs: source i is in.Tests[i].U in G1,
+// target i is in.Tests[i].V in G2.
+func testPairNames(in *core.Input) (srcNames, tgtNames []string) {
+	srcNames = make([]string, len(in.Tests))
+	tgtNames = make([]string, len(in.Tests))
+	for i, p := range in.Tests {
+		srcNames[i] = in.G1.EntityName(p.U)
+		tgtNames[i] = in.G2.EntityName(p.V)
+	}
+	return srcNames, tgtNames
+}
+
+// nameIndex maps source names to rows. On duplicate names the first
+// occurrence wins; indices always resolve.
+func nameIndex(srcNames []string) map[string]int {
 	byName := make(map[string]int, len(srcNames))
 	for i, name := range srcNames {
 		if _, ok := byName[name]; !ok {
 			byName[name] = i
 		}
 	}
-	return &Engine{
-		fused:    fused,
-		feats:    feats,
-		srcNames: srcNames,
-		tgtNames: tgtNames,
-		byName:   byName,
-		greedy:   match.Greedy(fused),
-		topK:     topK,
-	}, nil
+	return byName
+}
+
+// resolveSource is every Aligner's key grammar: a decimal source index in
+// range, or else a source entity name looked up in byName.
+func resolveSource(key string, srcNames []string, byName map[string]int) (int, bool) {
+	if i, err := strconv.Atoi(key); err == nil {
+		if i >= 0 && i < len(srcNames) {
+			return i, true
+		}
+		return 0, false
+	}
+	i, ok := byName[key]
+	return i, ok
 }
 
 // Degraded lists features the offline pipeline dropped; the daemon logs it
@@ -180,14 +201,7 @@ func (e *Engine) NumSources() int { return len(e.srcNames) }
 // Resolve implements Aligner: keys are decimal source indices or source
 // entity names.
 func (e *Engine) Resolve(key string) (int, bool) {
-	if i, err := strconv.Atoi(key); err == nil {
-		if i >= 0 && i < len(e.srcNames) {
-			return i, true
-		}
-		return 0, false
-	}
-	i, ok := e.byName[key]
-	return i, ok
+	return resolveSource(key, e.srcNames, e.byName)
 }
 
 // Strategies implements Aligner: the dense engine accepts every registered
@@ -209,7 +223,7 @@ func (e *Engine) AlignCollective(ctx context.Context, rows []int, strategy strin
 	}
 	out := make([]Decision, len(rows))
 	for p, row := range rows {
-		out[p] = e.decision(row, asn[p])
+		out[p] = decisionFromRow(e.srcNames, e.tgtNames, row, e.fused.Row(row), asn[p])
 	}
 	return out, nil
 }
@@ -218,25 +232,9 @@ func (e *Engine) AlignCollective(ctx context.Context, rows []int, strategy strin
 func (e *Engine) AlignGreedy(rows []int) []Decision {
 	out := make([]Decision, len(rows))
 	for p, row := range rows {
-		out[p] = e.decision(row, e.greedy[row])
+		out[p] = decisionFromRow(e.srcNames, e.tgtNames, row, e.fused.Row(row), e.greedy[row])
 	}
 	return out
-}
-
-// decision assembles the Decision for source row matched to target j.
-func (e *Engine) decision(row, j int) Decision {
-	d := Decision{SourceIndex: row, Source: e.srcNames[row], TargetIndex: -1}
-	if j < 0 {
-		return d
-	}
-	score := e.fused.At(row, j)
-	d.TargetIndex = j
-	d.Target = e.tgtNames[j]
-	d.Score = score
-	d.Rank = e.rank(row, score)
-	d.Matched = true
-	d.Unilateral = rowUnilateral(e.fused.Row(row), j)
-	return d
 }
 
 // rowUnilateral reports whether target j is the answer a lone request for
@@ -253,19 +251,6 @@ func rowUnilateral(row []float64, j int) bool {
 	return true
 }
 
-// rank counts targets the source scores strictly above the chosen score,
-// plus one — deterministic under ties regardless of which tied target the
-// decision picked.
-func (e *Engine) rank(row int, score float64) int {
-	r := 1
-	for _, v := range e.fused.Row(row) {
-		if v > score {
-			r++
-		}
-	}
-	return r
-}
-
 // Candidates implements Aligner: the top-k fused scores of one source in
 // descending order (ties toward the lower target index, matching
 // mat.TopKRow), each broken down into the surviving per-feature scores.
@@ -276,33 +261,9 @@ func (e *Engine) Candidates(ctx context.Context, row, k int) ([]Candidate, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if k < 1 {
-		k = 1
+	var feats featureRow
+	if fs := e.feats; fs != nil {
+		feats = featureRow{ms: matRowOrNil(fs.Ms, row), mn: matRowOrNil(fs.Mn, row), ml: matRowOrNil(fs.Ml, row)}
 	}
-	rowView := &mat.Dense{Rows: 1, Cols: e.fused.Cols, Data: e.fused.Row(row)}
-	top := mat.TopKRow(rowView, k)[0]
-	out := make([]Candidate, len(top))
-	for r, j := range top {
-		features := map[string]float64{}
-		for _, f := range []struct {
-			name string
-			m    *mat.Dense
-		}{
-			{"structural", e.feats.Ms},
-			{"semantic", e.feats.Mn},
-			{"string", e.feats.Ml},
-		} {
-			if f.m != nil {
-				features[f.name] = f.m.At(row, j)
-			}
-		}
-		out[r] = Candidate{
-			TargetIndex: j,
-			Target:      e.tgtNames[j],
-			Score:       e.fused.At(row, j),
-			Rank:        r + 1,
-			Features:    features,
-		}
-	}
-	return out, nil
+	return candidatesFromRows(e.tgtNames, e.fused.Row(row), k, feats), nil
 }

@@ -14,6 +14,7 @@ import (
 	"ceaff/internal/gcn"
 	"ceaff/internal/mat"
 	"ceaff/internal/match"
+	"ceaff/internal/obs"
 )
 
 // literalEngine builds an Engine directly from matrices — no pipeline run —
@@ -110,6 +111,47 @@ func TestEngineCandidates(t *testing.T) {
 	cancel()
 	if _, err := e.Candidates(ctx, 0, 2); err == nil {
 		t.Fatal("cancelled candidates call succeeded")
+	}
+}
+
+// TestStaticEngineNilFeaturesCandidates pins NewStaticEngine's "feats may
+// be nil" contract on the candidates path: top-k entries with empty
+// per-feature breakdowns, directly and over HTTP — never a nil dereference
+// (which the server's panic isolation would turn into a 500).
+func TestStaticEngineNilFeaturesCandidates(t *testing.T) {
+	fused := mat.FromRows([][]float64{
+		{0.1, 0.9, 0.5},
+		{0.2, 0.3, 0.4},
+	})
+	e, err := NewStaticEngine(fused, nil, []string{"a", "b"}, []string{"A", "B", "C"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := e.Candidates(context.Background(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 2 || cands[0].TargetIndex != 1 || cands[1].TargetIndex != 2 {
+		t.Fatalf("candidates %+v, want targets 1 then 2", cands)
+	}
+	for _, c := range cands {
+		if len(c.Features) != 0 {
+			t.Fatalf("candidate %+v carries features from a feature-less engine", c)
+		}
+	}
+
+	srv := NewServer(testServerConfig(), obs.NewRegistry())
+	srv.SetAligner(e)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/entity/0/candidates?k=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("candidates status %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"sort"
 	"strconv"
 
 	"ceaff/internal/core"
@@ -13,9 +15,10 @@ import (
 // Partition is one replica's share of the source space: the fused rows,
 // per-feature rows and precomputed greedy argmaxes of the sources a
 // consistent-hash ring assigns to partition index of total. It is the
-// storage unit behind both the in-process ShardedEngine and the
-// cross-process replica daemon (`ceaffd -replica -partition i/N`), where it
-// answers the row-gather protocol the Router drives over a Transport.
+// storage unit behind every Router: in process behind LocalTransports
+// (`ceaffd -shards N`, NewShardedRouter) and in the cross-process replica
+// daemon (`ceaffd -replica -partition i/N`), where it answers the
+// row-gather protocol the Router drives over an HTTPTransport.
 //
 // A Partition keeps the full name tables (they are small relative to the
 // score matrices and every replica needs them to resolve keys and serve
@@ -43,10 +46,54 @@ type Partition struct {
 	topK     int
 }
 
-// partitionOwnership maps every source row to its owning partition using
-// the same ring and key grammar as the sharded engine, so an in-process
-// ShardedEngine, a local-transport Router and a multi-process Router all
-// agree on who owns what.
+// ringVnodes is the virtual-node count per partition; 64 keeps the
+// partition imbalance under a few percent at any realistic partition count.
+const ringVnodes = 64
+
+type ringPoint struct {
+	hash  uint64
+	shard int
+}
+
+func hashKey(key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return h.Sum64()
+}
+
+// buildRing returns the sorted consistent-hash ring for n partitions. The
+// ring hashes source names (stable across engine versions) onto partitions
+// via virtual nodes, so adding a partition moves ~1/N of the keys.
+func buildRing(n int) []ringPoint {
+	ring := make([]ringPoint, 0, n*ringVnodes)
+	for s := 0; s < n; s++ {
+		for v := 0; v < ringVnodes; v++ {
+			ring = append(ring, ringPoint{hash: hashKey(fmt.Sprintf("shard-%d#%d", s, v)), shard: s})
+		}
+	}
+	sort.Slice(ring, func(i, j int) bool {
+		if ring[i].hash != ring[j].hash {
+			return ring[i].hash < ring[j].hash
+		}
+		return ring[i].shard < ring[j].shard
+	})
+	return ring
+}
+
+// ringOwner returns the partition owning key: the first ring point
+// clockwise from the key's hash.
+func ringOwner(ring []ringPoint, key string) int {
+	h := hashKey(key)
+	i := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
+	if i == len(ring) {
+		i = 0
+	}
+	return ring[i].shard
+}
+
+// partitionOwnership maps every source row to its owning partition, so
+// NewPartition, an in-process Router and a multi-process Router all agree
+// on who owns what.
 func partitionOwnership(srcNames []string, total int) []int {
 	ring := buildRing(total)
 	owner := make([]int, len(srcNames))
@@ -100,8 +147,7 @@ func NewPartition(e *Engine, index, total int) (*Partition, error) {
 }
 
 // NewPartitions extracts all partitions of a total-way split at once — the
-// construction path of the in-process ShardedEngine and of local-transport
-// routers in tests.
+// construction path of NewShardedRouter.
 func NewPartitions(e *Engine, total int) ([]*Partition, error) {
 	if total < 1 {
 		return nil, fmt.Errorf("serve: partition count %d < 1", total)
@@ -241,31 +287,35 @@ func (p *Partition) NumSources() int { return len(p.srcNames) }
 
 // Resolve implements Aligner with the same key grammar as Engine.
 func (p *Partition) Resolve(key string) (int, bool) {
-	if i, err := strconv.Atoi(key); err == nil {
-		if i >= 0 && i < len(p.srcNames) {
-			return i, true
-		}
-		return 0, false
-	}
-	i, ok := p.byName[key]
-	return i, ok
+	return resolveSource(key, p.srcNames, p.byName)
 }
 
 // Strategies implements Aligner: owned rows gather densely, so every
 // registered strategy applies.
 func (p *Partition) Strategies() []string { return match.StrategyNames() }
 
-// validOwnedRows rejects out-of-range, duplicate and un-owned rows.
-func (p *Partition) validOwnedRows(rows []int) error {
+// validRequestRows rejects out-of-range and duplicate rows before any
+// gather or decision work.
+func validRequestRows(rows []int, n int) error {
 	seen := make(map[int]bool, len(rows))
 	for _, r := range rows {
-		if r < 0 || r >= len(p.srcNames) {
-			return fmt.Errorf("serve: source %d out of range [0,%d)", r, len(p.srcNames))
+		if r < 0 || r >= n {
+			return fmt.Errorf("serve: source %d out of range [0,%d)", r, n)
 		}
 		if seen[r] {
 			return fmt.Errorf("serve: duplicate source %d", r)
 		}
 		seen[r] = true
+	}
+	return nil
+}
+
+// validOwnedRows rejects out-of-range, duplicate and un-owned rows.
+func (p *Partition) validOwnedRows(rows []int) error {
+	if err := validRequestRows(rows, len(p.srcNames)); err != nil {
+		return err
+	}
+	for _, r := range rows {
 		if !p.Owns(r) {
 			return fmt.Errorf("%w: source %d not owned by partition %d/%d", ErrNotOwned, r, p.index, p.total)
 		}
@@ -352,8 +402,8 @@ type featureRow struct{ ms, mn, ml []float64 }
 
 // decisionFromRow assembles the Decision for source row matched to target j
 // from the row's fused scores — the single shared implementation behind
-// Engine, ShardedEngine, Partition and Router, so every topology produces
-// the same fields, rank semantics and unilateral marking.
+// Engine, Partition and Router, so every topology produces the same
+// fields, rank semantics and unilateral marking.
 func decisionFromRow(srcNames, tgtNames []string, row int, fusedRow []float64, j int) Decision {
 	d := Decision{SourceIndex: row, Source: srcNames[row], TargetIndex: -1}
 	if j < 0 {
@@ -376,8 +426,8 @@ func decisionFromRow(srcNames, tgtNames []string, row int, fusedRow []float64, j
 }
 
 // candidatesFromRows builds a top-k candidate list from one source's fused
-// row and per-feature rows — shared by Partition and Router so remote
-// candidate answers are bit-identical to local ones.
+// row and per-feature rows — shared by Engine, Partition and Router so
+// remote candidate answers are bit-identical to local ones.
 func candidatesFromRows(tgtNames []string, fusedRow []float64, k int, feats featureRow) []Candidate {
 	if k < 1 {
 		k = 1

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,13 +15,14 @@ import (
 	"ceaff/internal/robust"
 )
 
-// Router is the cross-process counterpart of ShardedEngine: the same
-// consistent-hash ownership and gather-then-centrally-decide discipline,
-// but each partition is reached through a Transport, so replicas may be
-// separate ceaffd processes. On full health its answers are bit-identical
-// to the in-process ShardedEngine and the unsharded Engine — scores cross
-// the wire as exact float64 bits and the collective decision runs once,
-// centrally, over the gathered rows.
+// Router serves a source space split across consistent-hash Partitions:
+// each request gathers its rows from the owning partitions and runs ONE
+// central collective decision over them, so the competition stays global
+// even though the storage is not. Each partition is reached through a
+// Transport — in process (LocalTransport, `ceaffd -shards N`) or in a
+// separate ceaffd replica process (HTTPTransport). On full health its
+// answers are bit-identical to the unsharded Engine: scores cross every
+// transport as exact float64 bits.
 //
 // Every remote gather runs through a fault-tolerance chain built from the
 // repo's existing primitives:
@@ -269,19 +269,33 @@ func NewRouter(ctx context.Context, cfg RouterConfig, transports []Transport, re
 	return rt, nil
 }
 
+// NewShardedRouter splits e's source space into n consistent-hash
+// partitions and routes over them in process — the `ceaffd -shards N`
+// topology. Each partition copies its own rows, so the engine need not be
+// retained. Hedging is off: an in-process partition cannot straggle. No
+// probe loop is started; there is nothing to probe. The metadata fetch
+// reads partition memory and cannot block, so it needs no caller context.
+func NewShardedRouter(e *Engine, n int, reg *obs.Registry) (*Router, error) {
+	parts, err := NewPartitions(e, n)
+	if err != nil {
+		return nil, err
+	}
+	ts := make([]Transport, n)
+	for i, p := range parts {
+		ts[i] = &LocalTransport{P: p}
+	}
+	cfg := DefaultRouterConfig()
+	cfg.DisableHedge = true
+	return NewRouter(context.Background(), cfg, ts, reg)
+}
+
 // newRouterState derives the routing snapshot from one replica's metadata.
 func newRouterState(m *ReplicaMeta) *routerState {
-	byName := make(map[string]int, len(m.SrcNames))
-	for i, name := range m.SrcNames {
-		if _, ok := byName[name]; !ok {
-			byName[name] = i
-		}
-	}
 	return &routerState{
 		version:  m.Version,
 		srcNames: m.SrcNames,
 		tgtNames: m.TgtNames,
-		byName:   byName,
+		byName:   nameIndex(m.SrcNames),
 		owner:    partitionOwnership(m.SrcNames, m.Total),
 		topK:     m.TopK,
 		namesFP:  m.NamesFP,
@@ -302,14 +316,7 @@ func (rt *Router) NumSources() int { return len(rt.state.Load().srcNames) }
 // Resolve implements Aligner with the same key grammar as Engine.
 func (rt *Router) Resolve(key string) (int, bool) {
 	st := rt.state.Load()
-	if i, err := strconv.Atoi(key); err == nil {
-		if i >= 0 && i < len(st.srcNames) {
-			return i, true
-		}
-		return 0, false
-	}
-	i, ok := st.byName[key]
-	return i, ok
+	return resolveSource(key, st.srcNames, st.byName)
 }
 
 // Strategies implements Aligner: gathers are dense rows, so every

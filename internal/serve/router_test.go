@@ -60,10 +60,10 @@ func getRaw(t *testing.T, client *http.Client, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestRouterBitIdentity is the tentpole's correctness pin: the same query
-// set served through four topologies — the unsharded engine, the in-process
-// ShardedEngine, a Router over in-process LocalTransports, and a Router
-// over the framed HTTP gather protocol against real replica servers — must
+// TestRouterBitIdentity is the router's correctness pin: the same query
+// set served through three topologies — the unsharded engine, a Router
+// over in-process LocalTransports (`ceaffd -shards N`), and a Router over
+// the framed HTTP gather protocol against real replica servers — must
 // produce byte-identical /v1/align and candidates responses. Runs in the
 // GOMAXPROCS=1/4 determinism suite.
 func TestRouterBitIdentity(t *testing.T) {
@@ -71,20 +71,7 @@ func TestRouterBitIdentity(t *testing.T) {
 	base := literalEngine(coalesceTestMatrix(n))
 	ctx := context.Background()
 
-	se, err := NewShardedEngine(base, nparts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	localParts, err := NewPartitions(base, nparts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	localTs := make([]Transport, nparts)
-	for i, p := range localParts {
-		localTs[i] = &LocalTransport{P: p}
-	}
-	localRouter, err := NewRouter(ctx, routerTestConfig(), localTs, obs.NewRegistry())
+	localRouter, err := NewShardedRouter(base, nparts, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +102,6 @@ func TestRouterBitIdentity(t *testing.T) {
 	}
 	servers := map[string]*httptest.Server{
 		"engine":      mk(base),
-		"sharded":     mk(se),
 		"localRouter": mk(localRouter),
 		"httpRouter":  mk(httpRouter),
 	}

@@ -13,39 +13,47 @@ import (
 	"ceaff/internal/obs"
 )
 
-// TestShardedEngineBitIdentity pins the sharded router's contract: for any
-// shard count, every response — collective, greedy, candidates — is
-// bit-identical to the unsharded engine. Runs in the GOMAXPROCS=1/4
-// determinism suite.
-func TestShardedEngineBitIdentity(t *testing.T) {
+// TestShardedRouterBitIdentity pins the `-shards N` topology's contract:
+// for any partition count, a Router over in-process partitions answers
+// every query — collective, greedy, candidates — bit-identically to the
+// unsharded engine. Runs in the GOMAXPROCS=1/4 determinism suite.
+func TestShardedRouterBitIdentity(t *testing.T) {
 	const n = 30
 	base := literalEngine(coalesceTestMatrix(n))
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(13))
 
 	for _, nshards := range []int{1, 3, 8} {
-		se, err := NewShardedEngine(base, nshards)
+		se, err := NewShardedRouter(base, nshards, obs.NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if se.NumSources() != base.NumSources() {
 			t.Fatalf("%d shards: NumSources %d != %d", nshards, se.NumSources(), base.NumSources())
 		}
-		// Partition sanity: every row owned exactly once, locals consistent.
-		counts := make([]int, nshards)
+		if se.NumPartitions() != nshards {
+			t.Fatalf("%d shards: NumPartitions %d", nshards, se.NumPartitions())
+		}
+		// Partition sanity: every row owned exactly once, by the ring's
+		// owner, with a consistent local mapping.
+		owner := partitionOwnership(base.srcNames, nshards)
+		parts := make([]*Partition, nshards)
+		for s, set := range se.replicas {
+			parts[s] = set.links[0].t.(*LocalTransport).P
+		}
 		for row := 0; row < n; row++ {
-			s := se.owner[row]
-			counts[s]++
-			if se.shards[s].rows[se.local[row]] != row {
+			owners := 0
+			for _, p := range parts {
+				if p.Owns(row) {
+					owners++
+				}
+			}
+			if owners != 1 || !parts[owner[row]].Owns(row) {
+				t.Fatalf("%d shards: row %d owned by %d partitions, want exactly partition %d", nshards, row, owners, owner[row])
+			}
+			if p := parts[owner[row]]; p.rows[p.local[row]] != row {
 				t.Fatalf("%d shards: row %d local mapping broken", nshards, row)
 			}
-		}
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total != n {
-			t.Fatalf("%d shards: partition covers %d rows, want %d", nshards, total, n)
 		}
 
 		for trial := 0; trial < 30; trial++ {
@@ -87,7 +95,7 @@ func TestShardedEngineBitIdentity(t *testing.T) {
 		}
 	}
 
-	if _, err := NewShardedEngine(base, 0); err == nil {
+	if _, err := NewShardedRouter(base, 0, obs.NewRegistry()); err == nil {
 		t.Fatal("0 shards accepted")
 	}
 }
@@ -97,7 +105,7 @@ func TestShardedEngineBitIdentity(t *testing.T) {
 func TestShardedServerResponseBitIdentity(t *testing.T) {
 	const n = 24
 	base := literalEngine(coalesceTestMatrix(n))
-	se, err := NewShardedEngine(base, 4)
+	se, err := NewShardedRouter(base, 4, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"ceaff/internal/blocking"
 	"ceaff/internal/core"
@@ -42,23 +41,14 @@ func NewSparseEngine(ctx context.Context, in *core.Input, cfg core.Config, cands
 	if err != nil {
 		return nil, fmt.Errorf("serve: blocked decision: %w", err)
 	}
-	srcNames := make([]string, len(in.Tests))
-	tgtNames := make([]string, len(in.Tests))
-	byName := make(map[string]int, len(in.Tests))
-	for i, p := range in.Tests {
-		srcNames[i] = in.G1.EntityName(p.U)
-		tgtNames[i] = in.G2.EntityName(p.V)
-		if _, ok := byName[srcNames[i]]; !ok {
-			byName[srcNames[i]] = i
-		}
-	}
+	srcNames, tgtNames := testPairNames(in)
 	e := &SparseEngine{
 		cands:    sf.Cands,
 		scores:   res.FusedSparse,
 		feats:    sf.Scores,
 		srcNames: srcNames,
 		tgtNames: tgtNames,
-		byName:   byName,
+		byName:   nameIndex(srcNames),
 		greedy:   make([]int, len(sf.Cands)),
 		topK:     cfg.PreferenceTopK,
 		degraded: res.Degraded,
@@ -90,14 +80,7 @@ func (e *SparseEngine) NumSources() int { return len(e.srcNames) }
 
 // Resolve implements Aligner with Engine's key grammar.
 func (e *SparseEngine) Resolve(key string) (int, bool) {
-	if i, err := strconv.Atoi(key); err == nil {
-		if i >= 0 && i < len(e.srcNames) {
-			return i, true
-		}
-		return 0, false
-	}
-	i, ok := e.byName[key]
-	return i, ok
+	return resolveSource(key, e.srcNames, e.byName)
 }
 
 // Strategies implements Aligner: the blocked engine accepts only strategies

@@ -62,8 +62,8 @@ type Transport interface {
 }
 
 // LocalTransport serves a Transport from an in-process Partition — the
-// existing single-process topology expressed through the interface, and
-// the bit-identity baseline the HTTP transport is tested against.
+// `ceaffd -shards N` topology (NewShardedRouter), and the bit-identity
+// baseline the HTTP transport is tested against.
 type LocalTransport struct {
 	P *Partition
 }
