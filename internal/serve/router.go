@@ -532,6 +532,7 @@ func (rt *Router) gatherPartition(ctx context.Context, st *routerState, p int, r
 	}
 	deadline, hasDeadline := ctx.Deadline()
 	var sr *ShardRows
+	faulted := false // a try failed while the request still had budget
 	err := rt.cfg.Retry.Do(ctx, func(attempt int) error {
 		if attempt > 0 {
 			rt.retries.Inc()
@@ -559,10 +560,13 @@ func (rt *Router) gatherPartition(ctx context.Context, st *routerState, p int, r
 		if errors.Is(gerr, ErrVersionSkew) {
 			rt.skews.Inc()
 		}
-		switch {
-		case ctx.Err() != nil:
-			// The request's own budget ended; retrying cannot help.
+		if ctx.Err() != nil {
+			// The request's own budget ended; retrying cannot help, and
+			// the partition is not at fault.
 			return robust.Permanent(gerr)
+		}
+		faulted = true
+		switch {
 		case errors.Is(gerr, ErrNotOwned):
 			// Topology misconfiguration; the same ask fails the same way.
 			return robust.Permanent(gerr)
@@ -576,7 +580,11 @@ func (rt *Router) gatherPartition(ctx context.Context, st *routerState, p int, r
 		}
 	})
 	if err != nil {
-		rt.markLost(set)
+		// Running out of the caller's budget says nothing about the
+		// partition; only a try that failed within budget marks it lost.
+		if faulted {
+			rt.markLost(set)
+		}
 		return nil, fmt.Errorf("%w: partition %d: %v", ErrPartitionLost, p, err)
 	}
 	if sr.Version != st.version {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"ceaff/internal/obs"
 )
@@ -97,6 +98,71 @@ func TestShardedRouterBitIdentity(t *testing.T) {
 
 	if _, err := NewShardedRouter(base, 0, obs.NewRegistry()); err == nil {
 		t.Fatal("0 shards accepted")
+	}
+}
+
+// TestShardedRouterCallerDeadlines pins that a caller's own budget ending
+// fails only that caller: expired, cancelled and near-expired requests must
+// not trip an in-process partition's breaker, mark it lost or degrade the
+// answers of the requests that follow.
+func TestShardedRouterCallerDeadlines(t *testing.T) {
+	const n = 24
+	base := literalEngine(coalesceTestMatrix(n))
+	reg := obs.NewRegistry()
+	rt, err := NewShardedRouter(base, 3, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		// Near-expired deadlines, 0 to 10µs.
+		short, cancelShort := context.WithTimeout(context.Background(), time.Duration(i*50)*time.Nanosecond)
+		for _, ctx := range []context.Context{expired, cancelled, short} {
+			rt.AlignCollective(ctx, rows, "")
+			rt.Candidates(ctx, i%n, 3)
+		}
+		cancelShort()
+	}
+
+	// A partition read cannot block, so an expired context cannot fail it
+	// and count against the partition's breaker.
+	p0 := rt.replicas[0].links[0].t.(*LocalTransport).P
+	if _, err := rt.replicas[0].links[0].t.Gather(expired, rt.Version(), p0.rows[:1], true); err != nil {
+		t.Fatalf("local gather under an expired context: %v", err)
+	}
+	if got := reg.Gauge("serve.partition.lost").Value(); got != 0 {
+		t.Fatalf("serve.partition.lost = %v after caller deadlines, want 0", got)
+	}
+	for p, set := range rt.replicas {
+		for _, link := range set.links {
+			if !link.healthy.Load() || link.breaker.State() != BreakerClosed {
+				t.Fatalf("partition %d: healthy=%v breaker %v after caller deadlines",
+					p, link.healthy.Load(), link.breaker.State())
+			}
+		}
+	}
+	ctx := context.Background()
+	got, err := rt.AlignCollective(ctx, rows, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := base.AlignCollective(ctx, rows, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("answer after caller deadlines:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := rt.Candidates(ctx, 0, 3); err != nil {
+		t.Fatalf("Candidates after caller deadlines: %v", err)
 	}
 }
 

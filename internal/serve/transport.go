@@ -76,11 +76,10 @@ func (t *LocalTransport) Meta(ctx context.Context) (*ReplicaMeta, error) {
 	return t.P.Meta(), nil
 }
 
-// Gather implements Transport straight off partition memory.
-func (t *LocalTransport) Gather(ctx context.Context, wantVersion uint64, rows []int, withFeatures bool) (*ShardRows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// Gather implements Transport straight off partition memory. It reads
+// memory and cannot block, so it ignores ctx: the caller's deadline must
+// never surface as a partition failure and feed the router's breakers.
+func (t *LocalTransport) Gather(_ context.Context, wantVersion uint64, rows []int, withFeatures bool) (*ShardRows, error) {
 	return t.P.GatherLocal(wantVersion, rows, withFeatures)
 }
 
