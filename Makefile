@@ -4,8 +4,9 @@
 # `make bench` regenerates BENCH_PR9.json: table + kernel benchmarks plus
 # an instrumented pipeline run, folded into one schema-stable file that
 # cmd/benchdiff can compare across commits. `make fuzz-smoke` runs each
-# native fuzz target briefly — the corruption-recovery and string-metric
-# invariants hold under fresh random inputs, not just the checked-in seeds.
+# native fuzz target briefly — the corruption-recovery, string-metric and
+# request-decoding invariants hold under fresh random inputs, not just the
+# checked-in seeds.
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
@@ -78,6 +79,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal
 	go test -run '^$$' -fuzz FuzzStrsimRatio -fuzztime $(FUZZTIME) ./internal/strsim
 	go test -run '^$$' -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/serve
+	go test -run '^$$' -fuzz FuzzAlignRequest -fuzztime $(FUZZTIME) ./internal/serve
 
 # Per-package statement coverage summary.
 cover:

@@ -510,7 +510,7 @@ const (
 	benchServeOps     = 4096
 )
 
-func benchServeEngine(b *testing.B) *serve.Engine {
+func benchServeEngine(b *testing.B) *serve.Partition {
 	fused := mat.NewDense(benchServeSources, benchServeTargets)
 	s := uint64(9)
 	for i := range fused.Data {

@@ -42,10 +42,11 @@
 // force-closed and it exits 1.
 //
 // The heavy-traffic path: every /v1/align request is one direct call into
-// the engine's collective decision; per-source answers and candidate lists
-// land in a -cache-size LRU keyed by engine version (invalidated wholesale
-// on hot-swap); responses are encoded through the arena-backed
-// zero-allocation encoder. With -shards N, the source space is partitioned
+// the engine's collective decision (the engine is the whole-space
+// serve.Partition, the same dense row store a replica holds one slice of);
+// per-source answers and candidate lists land in a -cache-size LRU keyed
+// by engine version (invalidated wholesale on hot-swap); responses are
+// encoded through the arena-backed zero-allocation encoder. With -shards N, the source space is partitioned
 // across N consistent-hash partitions behind an in-process Router — the
 // same gather-then-decide path as the replicated fleet below, over local
 // transports — and answers stay bit-identical to the unsharded engine.
@@ -57,7 +58,8 @@
 // The replicated path runs shards as separate processes. A replica
 // (-replica -partition i/N) builds the corpus, keeps its slice of the
 // source space, and serves the framed binary row-gather protocol on
-// POST /v1/shard alongside the ordinary query surface. A router
+// POST /v1/shard alongside the ordinary query surface, which answers only
+// for the sources the replica owns (any other source is a 404). A router
 // (-router -replicas url1,...,urlN) builds no engine: it verifies the
 // fleet is coherent (one split, one corpus, one engine version), gathers
 // rows over the wire and makes every collective decision centrally —
@@ -286,9 +288,7 @@ func main() {
 		if err != nil {
 			fatalStartup(ctx, err)
 		}
-		for _, d := range engine.Degraded() {
-			log.Printf("degraded: %s feature dropped: %s", d.Feature, d.Reason)
-		}
+		logDegraded(engine.Degraded())
 		srv.SetAligner(engine)
 		log.Printf("ready after %.1fs (%d sources, blocked)", time.Since(start).Seconds(), engine.NumSources())
 	case *replica:
@@ -296,7 +296,7 @@ func main() {
 		if err != nil {
 			fatalStartup(ctx, err)
 		}
-		logDegraded(engine)
+		logDegraded(engine.Degraded())
 		p, err := serve.NewPartition(engine, partIndex, partTotal)
 		if err != nil {
 			fatalStartup(ctx, err)
@@ -310,7 +310,7 @@ func main() {
 		if err != nil {
 			fatalStartup(ctx, err)
 		}
-		logDegraded(engine)
+		logDegraded(engine.Degraded())
 		var aligner serve.Aligner = engine
 		if *shards > 0 {
 			sharded, err := serve.NewShardedRouter(engine, *shards, rt.Metrics)
@@ -347,8 +347,8 @@ func main() {
 		if err != nil {
 			fatalStartup(ctx, err)
 		}
-		if e, ok := aligner.(*serve.Engine); ok {
-			logDegraded(e)
+		if p, ok := aligner.(*serve.Partition); ok {
+			logDegraded(p.Degraded())
 		}
 		srv.Publish(aligner, seq)
 		ucfg := serve.DefaultUpdaterConfig()
@@ -492,8 +492,8 @@ func fatalStartup(ctx context.Context, err error) {
 	log.Fatal(err)
 }
 
-func logDegraded(e *serve.Engine) {
-	for _, d := range e.Degraded() {
+func logDegraded(ds []core.Degradation) {
+	for _, d := range ds {
 		log.Printf("degraded: %s feature dropped: %s", d.Feature, d.Reason)
 	}
 }

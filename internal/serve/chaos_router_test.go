@@ -91,7 +91,7 @@ func newChaosReplica(t *testing.T, p *Partition) *chaosReplica {
 
 // chaosFleet builds nparts chaos replicas over base and a Router connected
 // to them via HTTP transports.
-func chaosFleet(t *testing.T, base *Engine, nparts int, cfg RouterConfig, reg *obs.Registry) ([]*chaosReplica, *Router) {
+func chaosFleet(t *testing.T, base *Partition, nparts int, cfg RouterConfig, reg *obs.Registry) ([]*chaosReplica, *Router) {
 	t.Helper()
 	parts, err := NewPartitions(base, nparts)
 	if err != nil {

@@ -506,7 +506,7 @@ func TestChaosKillRecoveryBitIdentity(t *testing.T) {
 	}
 
 	// The fused similarity matrices must agree bit for bit.
-	lf, rf := live.(*Engine).fused, recovered.(*Engine).fused
+	lf, rf := live.(*Partition).fused, recovered.(*Partition).fused
 	if lf.Rows != rf.Rows || lf.Cols != rf.Cols {
 		t.Fatalf("fused shapes differ: %dx%d vs %dx%d", lf.Rows, lf.Cols, rf.Rows, rf.Cols)
 	}
@@ -550,7 +550,7 @@ func TestChaosKillRecoveryBitIdentity(t *testing.T) {
 	// seed. (The *fused* matrix may legitimately coincide with the base —
 	// adaptive fusion can weight structural to zero on this corpus — so the
 	// effect is asserted on the feature that directly sees the mutation.)
-	baseMs, liveMs := base.(*Engine).feats.Ms, live.(*Engine).feats.Ms
+	baseMs, liveMs := base.(*Partition).ms, live.(*Partition).ms
 	same := true
 	for i, v := range baseMs.Data {
 		if math.Float64bits(v) != math.Float64bits(liveMs.Data[i]) {

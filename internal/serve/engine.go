@@ -50,9 +50,10 @@ type Candidate struct {
 	Features map[string]float64 `json:"features"`
 }
 
-// Aligner is the query surface the HTTP server drives. Engine is the real
-// implementation; tests substitute stubs to steer timing and failures
-// deterministically.
+// Aligner is the query surface the HTTP server drives. Partition (dense
+// rows, the whole space or one replica's share), SparseEngine (blocked
+// candidate rows) and Router (rows gathered from partitions) implement it;
+// tests substitute stubs to steer timing and failures deterministically.
 type Aligner interface {
 	// NumSources is the size of the source universe.
 	NumSources() int
@@ -96,24 +97,13 @@ func strategyFor(name string) (match.Strategy, error) {
 	return match.ByName(name)
 }
 
-// Engine holds the offline pipeline's output in memory and answers online
-// queries. It is immutable after construction, so all methods are safe for
-// concurrent use.
-type Engine struct {
-	fused    *mat.Dense
-	feats    *core.FeatureSet
-	srcNames []string
-	tgtNames []string
-	byName   map[string]int
-	greedy   match.Assignment // precomputed per-source argmax (independent)
-	topK     int              // preference truncation for collective queries
-	degraded []core.Degradation
-}
-
 // NewEngine runs the offline CEAFF pipeline once — feature generation,
-// fusion, and the full decision — and freezes the result for serving.
-// cfg.PreferenceTopK carries over to per-request collective decisions.
-func NewEngine(ctx context.Context, in *core.Input, cfg core.Config) (*Engine, error) {
+// fusion, and the full decision — and freezes the result for serving as the
+// whole-space Partition (partition 0 of 1, owning every source row). It
+// adopts the fused and per-feature matrices without copying and keeps
+// nothing else of the pipeline's state. cfg.PreferenceTopK carries over to
+// per-request collective decisions.
+func NewEngine(ctx context.Context, in *core.Input, cfg core.Config) (*Partition, error) {
 	fs, err := core.ComputeFeaturesContext(ctx, in, cfg.GCN)
 	if err != nil {
 		return nil, fmt.Errorf("serve: offline features: %w", err)
@@ -123,35 +113,25 @@ func NewEngine(ctx context.Context, in *core.Input, cfg core.Config) (*Engine, e
 		return nil, fmt.Errorf("serve: offline decision: %w", err)
 	}
 	srcNames, tgtNames := testPairNames(in)
-	return &Engine{
-		fused:    res.Fused,
-		feats:    fs,
-		srcNames: srcNames,
-		tgtNames: tgtNames,
-		byName:   nameIndex(srcNames),
-		greedy:   match.Greedy(res.Fused),
-		topK:     cfg.PreferenceTopK,
-		degraded: res.Degraded,
-	}, nil
+	p := wholeSpace(res.Fused, fs.Ms, fs.Mn, fs.Ml, srcNames, tgtNames, cfg.PreferenceTopK)
+	p.degraded = res.Degraded
+	return p, nil
 }
 
 // NewStaticEngine freezes an already-computed fused score matrix for
-// serving, bypassing the offline pipeline — for precomputed artifacts and
-// benchmarks. Source i is named srcNames[i]; target j, tgtNames[j]. feats
-// may be nil (candidate breakdowns then carry no per-feature scores).
-func NewStaticEngine(fused *mat.Dense, feats *core.FeatureSet, srcNames, tgtNames []string, topK int) (*Engine, error) {
+// serving as the whole-space Partition, bypassing the offline pipeline —
+// for precomputed artifacts and benchmarks. Source i is named srcNames[i];
+// target j, tgtNames[j]. feats may be nil (candidate breakdowns then carry
+// no per-feature scores); only its Ms, Mn and Ml matrices are kept.
+func NewStaticEngine(fused *mat.Dense, feats *core.FeatureSet, srcNames, tgtNames []string, topK int) (*Partition, error) {
 	if fused == nil || fused.Rows != len(srcNames) || fused.Cols != len(tgtNames) {
 		return nil, fmt.Errorf("serve: fused shape does not match %d sources x %d targets", len(srcNames), len(tgtNames))
 	}
-	return &Engine{
-		fused:    fused,
-		feats:    feats,
-		srcNames: srcNames,
-		tgtNames: tgtNames,
-		byName:   nameIndex(srcNames),
-		greedy:   match.Greedy(fused),
-		topK:     topK,
-	}, nil
+	var ms, mn, ml *mat.Dense
+	if feats != nil {
+		ms, mn, ml = feats.Ms, feats.Mn, feats.Ml
+	}
+	return wholeSpace(fused, ms, mn, ml, srcNames, tgtNames, topK), nil
 }
 
 // testPairNames names the test pairs: source i is in.Tests[i].U in G1,
@@ -191,52 +171,6 @@ func resolveSource(key string, srcNames []string, byName map[string]int) (int, b
 	return i, ok
 }
 
-// Degraded lists features the offline pipeline dropped; the daemon logs it
-// at startup.
-func (e *Engine) Degraded() []core.Degradation { return e.degraded }
-
-// NumSources implements Aligner.
-func (e *Engine) NumSources() int { return len(e.srcNames) }
-
-// Resolve implements Aligner: keys are decimal source indices or source
-// entity names.
-func (e *Engine) Resolve(key string) (int, bool) {
-	return resolveSource(key, e.srcNames, e.byName)
-}
-
-// Strategies implements Aligner: the dense engine accepts every registered
-// strategy (Hungarian included — the dense matrix is in memory).
-func (e *Engine) Strategies() []string { return match.StrategyNames() }
-
-// AlignCollective implements Aligner via core.AlignRows: the
-// requested sources compete for targets under the selected decision
-// strategy (deferred acceptance when strategy is ""), exactly as the batch
-// pipeline decides, restricted to the queried rows.
-func (e *Engine) AlignCollective(ctx context.Context, rows []int, strategy string) ([]Decision, error) {
-	st, err := strategyFor(strategy)
-	if err != nil {
-		return nil, err
-	}
-	asn, err := core.AlignRows(ctx, e.fused, rows, e.topK, st)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Decision, len(rows))
-	for p, row := range rows {
-		out[p] = decisionFromRow(e.srcNames, e.tgtNames, row, e.fused.Row(row), asn[p])
-	}
-	return out, nil
-}
-
-// AlignGreedy implements Aligner from the precomputed independent ranking.
-func (e *Engine) AlignGreedy(rows []int) []Decision {
-	out := make([]Decision, len(rows))
-	for p, row := range rows {
-		out[p] = decisionFromRow(e.srcNames, e.tgtNames, row, e.fused.Row(row), e.greedy[row])
-	}
-	return out
-}
-
 // rowUnilateral reports whether target j is the answer a lone request for
 // this dense row would get: the row is NaN-free and j is its maximal entry
 // with ties toward the lower index — the single-row fast-path order of
@@ -249,21 +183,4 @@ func rowUnilateral(row []float64, j int) bool {
 		}
 	}
 	return true
-}
-
-// Candidates implements Aligner: the top-k fused scores of one source in
-// descending order (ties toward the lower target index, matching
-// mat.TopKRow), each broken down into the surviving per-feature scores.
-func (e *Engine) Candidates(ctx context.Context, row, k int) ([]Candidate, error) {
-	if row < 0 || row >= len(e.srcNames) {
-		return nil, fmt.Errorf("serve: source %d out of range [0,%d)", row, len(e.srcNames))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var feats featureRow
-	if fs := e.feats; fs != nil {
-		feats = featureRow{ms: matRowOrNil(fs.Ms, row), mn: matRowOrNil(fs.Mn, row), ml: matRowOrNil(fs.Ml, row)}
-	}
-	return candidatesFromRows(e.tgtNames, e.fused.Row(row), k, feats), nil
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -17,27 +19,19 @@ import (
 	"ceaff/internal/obs"
 )
 
-// literalEngine builds an Engine directly from matrices — no pipeline run —
-// for white-box query tests.
-func literalEngine(fused *mat.Dense) *Engine {
+// literalEngine builds a whole-space Partition directly from matrices — no
+// pipeline run — for white-box query tests. The string feature aliases the
+// fused matrix; the other features are absent.
+func literalEngine(fused *mat.Dense) *Partition {
 	src := make([]string, fused.Rows)
 	tgt := make([]string, fused.Cols)
-	byName := map[string]int{}
 	for i := range src {
 		src[i] = string(rune('a' + i))
-		byName[src[i]] = i
 	}
 	for j := range tgt {
 		tgt[j] = string(rune('A' + j))
 	}
-	return &Engine{
-		fused:    fused,
-		feats:    &core.FeatureSet{Ml: fused},
-		srcNames: src,
-		tgtNames: tgt,
-		byName:   byName,
-		greedy:   match.Greedy(fused),
-	}
+	return wholeSpace(fused, nil, nil, fused, src, tgt, 0)
 }
 
 func TestEngineResolve(t *testing.T) {
@@ -114,6 +108,94 @@ func TestEngineCandidates(t *testing.T) {
 	}
 }
 
+// TestWholeSpacePartitionReference pins the whole-space Partition — the
+// reference every bit-identity suite compares against — to the primitives
+// it is built from: core.AlignRows over the raw fused matrix for every
+// strategy, match.Greedy for the fallback and mat.TopKRow for candidates.
+// The matrix has coarse (tied) scores and one row holding a NaN; row sets
+// are random, at preference truncation topK 0 and > 0.
+func TestWholeSpacePartitionReference(t *testing.T) {
+	const n, m, nanRow = 20, 14, 5
+	r := rand.New(rand.NewSource(7))
+	fused := mat.NewDense(n, m)
+	for i := range fused.Data {
+		fused.Data[i] = float64(r.Intn(40)) / 40
+	}
+	fused.Row(nanRow)[3] = math.NaN()
+	src := make([]string, n)
+	for i := range src {
+		src[i] = "s" + string(rune('a'+i))
+	}
+	tgt := make([]string, m)
+	for j := range tgt {
+		tgt[j] = "t" + string(rune('a'+j))
+	}
+	greedy := match.Greedy(fused)
+	ctx := context.Background()
+	sameFloat := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+	for _, topK := range []int{0, 3} {
+		p, err := NewStaticEngine(fused, &core.FeatureSet{Ms: fused}, src, tgt, topK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 30; trial++ {
+			rows := r.Perm(n)[:1+r.Intn(n)]
+			if trial == 0 {
+				rows = []int{nanRow}
+			}
+			for _, name := range append([]string{""}, match.StrategyNames()...) {
+				st, err := strategyFor(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := core.AlignRows(ctx, fused, rows, topK, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.AlignCollective(ctx, rows, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, row := range rows {
+					d, j := got[i], want[i]
+					if d.SourceIndex != row || d.Source != src[row] || d.TargetIndex != j || d.Matched != (j >= 0) {
+						t.Fatalf("topK %d strategy %q rows %v: decision %+v, want target %d", topK, name, rows, d, j)
+					}
+					if j >= 0 && (d.Target != tgt[j] || !sameFloat(d.Score, fused.At(row, j))) {
+						t.Fatalf("topK %d strategy %q row %d: decision %+v, want %s at %v", topK, name, row, d, tgt[j], fused.At(row, j))
+					}
+				}
+			}
+			for i, d := range p.AlignGreedy(rows) {
+				if d.SourceIndex != rows[i] || d.TargetIndex != greedy[rows[i]] {
+					t.Fatalf("topK %d greedy row %d: %+v, want target %d", topK, rows[i], d, greedy[rows[i]])
+				}
+			}
+		}
+		for row := 0; row < n; row++ {
+			rowView := &mat.Dense{Rows: 1, Cols: m, Data: fused.Row(row)}
+			for _, k := range []int{1, 4, m} {
+				cands, err := p.Candidates(ctx, row, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				top := mat.TopKRow(rowView, k)[0]
+				if len(cands) != len(top) {
+					t.Fatalf("row %d k %d: %d candidates, want %d", row, k, len(cands), len(top))
+				}
+				for rank, j := range top {
+					c := cands[rank]
+					if c.TargetIndex != j || c.Target != tgt[j] || c.Rank != rank+1 ||
+						!sameFloat(c.Score, fused.At(row, j)) || !sameFloat(c.Features["structural"], fused.At(row, j)) {
+						t.Fatalf("row %d k %d rank %d: %+v, want target %d", row, k, rank+1, c, j)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestStaticEngineNilFeaturesCandidates pins NewStaticEngine's "feats may
 // be nil" contract on the candidates path: top-k entries with empty
 // per-feature breakdowns, directly and over HTTP — never a nil dereference
@@ -175,7 +257,7 @@ func serveTestInput(t *testing.T) *core.Input {
 	return &core.Input{G1: d.G1, G2: d.G2, Seeds: d.SeedPairs, Tests: d.TestPairs, Emb1: d.Emb1, Emb2: d.Emb2}
 }
 
-func serveTestEngine(t *testing.T) *Engine {
+func serveTestEngine(t *testing.T) *Partition {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	gcnCfg := gcn.DefaultConfig()
@@ -198,7 +280,7 @@ func TestServeResponseBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double pipeline run")
 	}
-	fetch := func(e *Engine) (align, cands, metricsStatus []byte) {
+	fetch := func(e *Partition) (align, cands, metricsStatus []byte) {
 		srv := NewServer(testServerConfig(), nil)
 		srv.SetAligner(e)
 		ts := httptest.NewServer(srv.Handler())

@@ -12,10 +12,12 @@ import (
 	"ceaff/internal/match"
 )
 
-// Partition is one replica's share of the source space: the fused rows,
-// per-feature rows and precomputed greedy argmaxes of the sources a
-// consistent-hash ring assigns to partition index of total. It is the
-// storage unit behind every Router: in process behind LocalTransports
+// Partition is the dense row store: the fused rows, per-feature rows and
+// precomputed greedy argmaxes of the sources a consistent-hash ring assigns
+// to partition index of total. The whole-space partition (0 of 1, built by
+// NewEngine or NewStaticEngine) owns every row and is the unsharded engine.
+// Split partitions are extracted from it (NewPartition) and are the storage
+// unit behind every Router: in process behind LocalTransports
 // (`ceaffd -shards N`, NewShardedRouter) and in the cross-process replica
 // daemon (`ceaffd -replica -partition i/N`), where it answers the
 // row-gather protocol the Router drives over an HTTPTransport.
@@ -25,16 +27,18 @@ import (
 // meta), but only its own rows of every matrix — a replica holding
 // partition i/N stores ~1/N of the engine's score memory.
 //
-// Partition also implements Aligner restricted to its owned rows, so a
-// replica process serves /v1/align and /readyz for its own sources with the
-// ordinary Server machinery; queries naming rows it does not own are
-// client errors, not panics.
+// Partition implements Aligner restricted to its owned rows, so a replica
+// process serves /v1/align and /readyz for its own sources with the
+// ordinary Server machinery; keys naming rows it does not own do not
+// resolve. It is immutable after construction apart from SetVersion, which
+// a replica calls before publishing, so its methods are safe for
+// concurrent use.
 type Partition struct {
 	index, total int
 	version      uint64
 
-	rows  []int       // owned global source rows, ascending
-	local map[int]int // global source row → position in rows
+	rows  []int // owned global source rows, ascending
+	local []int // global source row → position in rows, -1 when not owned
 
 	fused      *mat.Dense // len(rows) × nTargets
 	ms, mn, ml *mat.Dense // per-feature rows (nil when the feature degraded)
@@ -44,6 +48,7 @@ type Partition struct {
 	tgtNames []string
 	byName   map[string]int
 	topK     int
+	degraded []core.Degradation
 }
 
 // ringVnodes is the virtual-node count per partition; 64 keeps the
@@ -105,20 +110,51 @@ func partitionOwnership(srcNames []string, total int) []int {
 	return owner
 }
 
-// NewPartition extracts partition index of total from a fully built engine.
-// The engine is not retained; the partition copies only its own rows, so a
-// replica process can release the full engine after extraction.
-func NewPartition(e *Engine, index, total int) (*Partition, error) {
+// wholeSpace builds partition 0 of 1 over the given matrices, adopting
+// them without copying: every source row is owned and stored at its own
+// index.
+func wholeSpace(fused, ms, mn, ml *mat.Dense, srcNames, tgtNames []string, topK int) *Partition {
+	ident := make([]int, len(srcNames))
+	for i := range ident {
+		ident[i] = i
+	}
+	return &Partition{
+		total:    1,
+		rows:     ident,
+		local:    ident,
+		fused:    fused,
+		ms:       ms,
+		mn:       mn,
+		ml:       ml,
+		greedy:   match.Greedy(fused),
+		srcNames: srcNames,
+		tgtNames: tgtNames,
+		byName:   nameIndex(srcNames),
+		topK:     topK,
+	}
+}
+
+// NewPartition extracts partition index of total from a whole-space
+// partition (NewEngine, NewStaticEngine); any other src is an error. src is
+// not retained; the partition copies only its own rows, so a replica
+// process can release the whole space after extraction.
+func NewPartition(src *Partition, index, total int) (*Partition, error) {
+	if src.total != 1 {
+		return nil, fmt.Errorf("serve: partitions are extracted from the whole space, not from partition %d/%d", src.index, src.total)
+	}
 	if total < 1 {
 		return nil, fmt.Errorf("serve: partition count %d < 1", total)
 	}
 	if index < 0 || index >= total {
 		return nil, fmt.Errorf("serve: partition index %d out of range [0,%d)", index, total)
 	}
-	owner := partitionOwnership(e.srcNames, total)
+	owner := partitionOwnership(src.srcNames, total)
 	var rows []int
+	local := make([]int, len(owner))
 	for row, o := range owner {
+		local[row] = -1
 		if o == index {
+			local[row] = len(rows)
 			rows = append(rows, row)
 		}
 	}
@@ -126,35 +162,33 @@ func NewPartition(e *Engine, index, total int) (*Partition, error) {
 		index:    index,
 		total:    total,
 		rows:     rows,
-		local:    make(map[int]int, len(rows)),
-		fused:    copyMatrixRows(e.fused, rows),
+		local:    local,
+		fused:    copyMatrixRows(src.fused, rows),
+		ms:       copyMatrixRows(src.ms, rows),
+		mn:       copyMatrixRows(src.mn, rows),
+		ml:       copyMatrixRows(src.ml, rows),
 		greedy:   make([]int, len(rows)),
-		srcNames: e.srcNames,
-		tgtNames: e.tgtNames,
-		byName:   e.byName,
-		topK:     e.topK,
-	}
-	if e.feats != nil {
-		p.ms = copyMatrixRows(e.feats.Ms, rows)
-		p.mn = copyMatrixRows(e.feats.Mn, rows)
-		p.ml = copyMatrixRows(e.feats.Ml, rows)
+		srcNames: src.srcNames,
+		tgtNames: src.tgtNames,
+		byName:   src.byName,
+		topK:     src.topK,
 	}
 	for pos, r := range rows {
-		p.local[r] = pos
-		p.greedy[pos] = e.greedy[r]
+		p.greedy[pos] = src.greedy[r]
 	}
 	return p, nil
 }
 
-// NewPartitions extracts all partitions of a total-way split at once — the
-// construction path of NewShardedRouter.
-func NewPartitions(e *Engine, total int) ([]*Partition, error) {
+// NewPartitions extracts all partitions of a total-way split of a
+// whole-space partition at once — the construction path of
+// NewShardedRouter.
+func NewPartitions(src *Partition, total int) ([]*Partition, error) {
 	if total < 1 {
 		return nil, fmt.Errorf("serve: partition count %d < 1", total)
 	}
 	parts := make([]*Partition, total)
 	for i := 0; i < total; i++ {
-		p, err := NewPartition(e, i, total)
+		p, err := NewPartition(src, i, total)
 		if err != nil {
 			return nil, err
 		}
@@ -195,9 +229,30 @@ func (p *Partition) Owned() int { return len(p.rows) }
 
 // Owns reports whether the partition holds source row.
 func (p *Partition) Owns(row int) bool {
-	_, ok := p.local[row]
+	_, ok := p.localRow(row)
 	return ok
 }
+
+// localRow maps a global source row to its position in the partition's
+// storage; ok is false for rows out of range or not owned.
+func (p *Partition) localRow(row int) (local int, ok bool) {
+	if row < 0 || row >= len(p.local) || p.local[row] < 0 {
+		return -1, false
+	}
+	return p.local[row], true
+}
+
+// rowError explains why row has no local position.
+func (p *Partition) rowError(row int) error {
+	if row < 0 || row >= len(p.srcNames) {
+		return fmt.Errorf("serve: source %d out of range [0,%d)", row, len(p.srcNames))
+	}
+	return fmt.Errorf("%w: source %d not owned by partition %d/%d", ErrNotOwned, row, p.index, p.total)
+}
+
+// Degraded lists features the offline pipeline dropped; the daemon logs it
+// at startup.
+func (p *Partition) Degraded() []core.Degradation { return p.degraded }
 
 // featMask reports which per-feature matrices the partition holds.
 func (p *Partition) featMask() byte {
@@ -258,10 +313,9 @@ func (p *Partition) GatherLocal(wantVersion uint64, rows []int, withFeatures boo
 		}
 	}
 	for i, row := range rows {
-		local, ok := p.local[row]
+		local, ok := p.localRow(row)
 		if !ok {
-			return nil, fmt.Errorf("%w: source %d not owned by partition %d/%d",
-				ErrNotOwned, row, p.index, p.total)
+			return nil, p.rowError(row)
 		}
 		sr.Greedy[i] = p.greedy[local]
 		sr.Fused[i] = p.fused.Row(local)
@@ -285,13 +339,16 @@ func (p *Partition) GatherLocal(wantVersion uint64, rows []int, withFeatures boo
 // NumSources implements Aligner: the size of the *global* source universe.
 func (p *Partition) NumSources() int { return len(p.srcNames) }
 
-// Resolve implements Aligner with the same key grammar as Engine.
+// Resolve implements Aligner with the shared key grammar, restricted to
+// owned rows: a key naming another partition's source does not resolve, so
+// the server answers 404 instead of running (and failing) a decision.
 func (p *Partition) Resolve(key string) (int, bool) {
-	return resolveSource(key, p.srcNames, p.byName)
+	row, ok := resolveSource(key, p.srcNames, p.byName)
+	return row, ok && p.Owns(row)
 }
 
-// Strategies implements Aligner: owned rows gather densely, so every
-// registered strategy applies.
+// Strategies implements Aligner: the rows are dense, so every registered
+// strategy applies (Hungarian included).
 func (p *Partition) Strategies() []string { return match.StrategyNames() }
 
 // validRequestRows rejects out-of-range and duplicate rows before any
@@ -310,45 +367,35 @@ func validRequestRows(rows []int, n int) error {
 	return nil
 }
 
-// validOwnedRows rejects out-of-range, duplicate and un-owned rows.
-func (p *Partition) validOwnedRows(rows []int) error {
-	if err := validRequestRows(rows, len(p.srcNames)); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if !p.Owns(r) {
-			return fmt.Errorf("%w: source %d not owned by partition %d/%d", ErrNotOwned, r, p.index, p.total)
-		}
-	}
-	return nil
-}
-
-// AlignCollective implements Aligner for owned rows: local gather, one
-// collective decision — bit-identical to the unsharded engine restricted to
-// the same rows.
+// AlignCollective implements Aligner for owned rows via core.AlignRows over
+// their local positions: the requested sources compete for targets under
+// the selected decision strategy (deferred acceptance when strategy is ""),
+// exactly as the batch pipeline decides, restricted to the queried rows.
 func (p *Partition) AlignCollective(ctx context.Context, rows []int, strategy string) ([]Decision, error) {
 	st, err := strategyFor(strategy)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.validOwnedRows(rows); err != nil {
-		return nil, err
+	// The whole space stores every row at its own index, so its rows are
+	// already local (core.AlignRows range-checks them).
+	locals := rows
+	if p.total > 1 {
+		locals = make([]int, len(rows))
+		for i, row := range rows {
+			local, ok := p.localRow(row)
+			if !ok {
+				return nil, p.rowError(row)
+			}
+			locals[i] = local
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sub := mat.GetDense(len(rows), len(p.tgtNames))
-	defer mat.PutDense(sub)
-	for i, row := range rows {
-		copy(sub.Row(i), p.fused.Row(p.local[row]))
-	}
-	asn, err := core.AlignGathered(ctx, sub, p.topK, st)
+	asn, err := core.AlignRows(ctx, p.fused, locals, p.topK, st)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Decision, len(rows))
 	for i, row := range rows {
-		out[i] = decisionFromRow(p.srcNames, p.tgtNames, row, p.fused.Row(p.local[row]), asn[i])
+		out[i] = decisionFromRow(p.srcNames, p.tgtNames, row, p.fused.Row(locals[i]), asn[i])
 	}
 	return out, nil
 }
@@ -359,31 +406,31 @@ func (p *Partition) AlignCollective(ctx context.Context, rows []int, strategy st
 func (p *Partition) AlignGreedy(rows []int) []Decision {
 	out := make([]Decision, len(rows))
 	for i, row := range rows {
-		if row < 0 || row >= len(p.srcNames) || !p.Owns(row) {
+		local, ok := p.localRow(row)
+		if !ok {
 			out[i] = Decision{SourceIndex: row, TargetIndex: -1}
 			if row >= 0 && row < len(p.srcNames) {
 				out[i].Source = p.srcNames[row]
 			}
 			continue
 		}
-		local := p.local[row]
 		out[i] = decisionFromRow(p.srcNames, p.tgtNames, row, p.fused.Row(local), p.greedy[local])
 	}
 	return out
 }
 
-// Candidates implements Aligner for owned rows with per-feature breakdowns.
+// Candidates implements Aligner for owned rows: the top-k fused scores of
+// one source in descending order (ties toward the lower target index,
+// matching mat.TopKRow), each broken down into the surviving per-feature
+// scores.
 func (p *Partition) Candidates(ctx context.Context, row, k int) ([]Candidate, error) {
-	if row < 0 || row >= len(p.srcNames) {
-		return nil, fmt.Errorf("serve: source %d out of range [0,%d)", row, len(p.srcNames))
-	}
-	if !p.Owns(row) {
-		return nil, fmt.Errorf("%w: source %d not owned by partition %d/%d", ErrNotOwned, row, p.index, p.total)
+	local, ok := p.localRow(row)
+	if !ok {
+		return nil, p.rowError(row)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	local := p.local[row]
 	return candidatesFromRows(p.tgtNames, p.fused.Row(local), k, featureRow{
 		ms: matRowOrNil(p.ms, local), mn: matRowOrNil(p.mn, local), ml: matRowOrNil(p.ml, local),
 	}), nil
@@ -402,8 +449,8 @@ type featureRow struct{ ms, mn, ml []float64 }
 
 // decisionFromRow assembles the Decision for source row matched to target j
 // from the row's fused scores — the single shared implementation behind
-// Engine, Partition and Router, so every topology produces the same
-// fields, rank semantics and unilateral marking.
+// Partition and Router, so every topology produces the same fields, rank
+// semantics and unilateral marking.
 func decisionFromRow(srcNames, tgtNames []string, row int, fusedRow []float64, j int) Decision {
 	d := Decision{SourceIndex: row, Source: srcNames[row], TargetIndex: -1}
 	if j < 0 {
@@ -426,7 +473,7 @@ func decisionFromRow(srcNames, tgtNames []string, row int, fusedRow []float64, j
 }
 
 // candidatesFromRows builds a top-k candidate list from one source's fused
-// row and per-feature rows — shared by Engine, Partition and Router so
+// row and per-feature rows — shared by Partition and Router so
 // remote candidate answers are bit-identical to local ones.
 func candidatesFromRows(tgtNames []string, fusedRow []float64, k int, feats featureRow) []Candidate {
 	if k < 1 {

@@ -15,8 +15,9 @@ import (
 	"ceaff/internal/wal"
 )
 
-// Rebuilder turns a corpus snapshot into a fresh Engine, warm-starting GCN
-// training from a CRC-checked checkpoint on disk when one is compatible.
+// Rebuilder turns a corpus snapshot into a fresh engine (NewEngine),
+// warm-starting GCN training from a CRC-checked checkpoint on disk when one
+// is compatible.
 //
 // Checkpoint discipline, chosen so recovery is bit-deterministic:
 //

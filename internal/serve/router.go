@@ -21,7 +21,7 @@ import (
 // even though the storage is not. Each partition is reached through a
 // Transport — in process (LocalTransport, `ceaffd -shards N`) or in a
 // separate ceaffd replica process (HTTPTransport). On full health its
-// answers are bit-identical to the unsharded Engine: scores cross every
+// answers are bit-identical to the whole-space Partition: scores cross every
 // transport as exact float64 bits.
 //
 // Every remote gather runs through a fault-tolerance chain built from the
@@ -269,14 +269,15 @@ func NewRouter(ctx context.Context, cfg RouterConfig, transports []Transport, re
 	return rt, nil
 }
 
-// NewShardedRouter splits e's source space into n consistent-hash
-// partitions and routes over them in process — the `ceaffd -shards N`
-// topology. Each partition copies its own rows, so the engine need not be
-// retained. Hedging is off: an in-process partition cannot straggle. No
-// probe loop is started; there is nothing to probe. The metadata fetch
-// reads partition memory and cannot block, so it needs no caller context.
-func NewShardedRouter(e *Engine, n int, reg *obs.Registry) (*Router, error) {
-	parts, err := NewPartitions(e, n)
+// NewShardedRouter splits a whole-space partition (NewEngine,
+// NewStaticEngine) into n consistent-hash partitions and routes over them in
+// process — the `ceaffd -shards N` topology. Each partition copies its own
+// rows, so src need not be retained. Hedging is off: an in-process partition
+// cannot straggle. No probe loop is started; there is nothing to probe. The
+// metadata fetch reads partition memory and cannot block, so it needs no
+// caller context.
+func NewShardedRouter(src *Partition, n int, reg *obs.Registry) (*Router, error) {
+	parts, err := NewPartitions(src, n)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +314,7 @@ func (rt *Router) NumPartitions() int { return len(rt.replicas) }
 // NumSources implements Aligner.
 func (rt *Router) NumSources() int { return len(rt.state.Load().srcNames) }
 
-// Resolve implements Aligner with the same key grammar as Engine.
+// Resolve implements Aligner with the shared key grammar (resolveSource).
 func (rt *Router) Resolve(key string) (int, bool) {
 	st := rt.state.Load()
 	return resolveSource(key, st.srcNames, st.byName)
@@ -466,39 +467,51 @@ func (rt *Router) gatherRows(ctx context.Context, st *routerState, rows []int, w
 		rows []int
 		idxs []int // positions in the request
 	}
-	work := make(map[int]*partWork, len(rt.replicas))
+	work := make([]partWork, len(rt.replicas))
 	for i, row := range rows {
-		p := st.owner[row]
-		w := work[p]
-		if w == nil {
-			w = &partWork{}
-			work[p] = w
-		}
+		w := &work[st.owner[row]]
 		w.rows = append(w.rows, row)
 		w.idxs = append(w.idxs, i)
 	}
-	var wg sync.WaitGroup
-	anyLost := atomic.Bool{}
-	for p, w := range work {
-		wg.Add(1)
-		go func(p int, w *partWork) {
-			defer wg.Done()
-			sr, err := rt.gatherPartition(ctx, st, p, w.rows, withFeatures)
-			if err != nil {
-				anyLost.Store(true)
-				return
-			}
-			for k, i := range w.idxs {
-				out.fused[i] = sr.Fused[k]
-				out.greedy[i] = sr.Greedy[k]
-				out.ok[i] = true
-				if withFeatures {
-					out.feats[i] = featureRow{
-						ms: indexOrNil(sr.Ms, k), mn: indexOrNil(sr.Mn, k), ml: indexOrNil(sr.Ml, k),
-					}
+	var anyLost atomic.Bool
+	gather := func(p int) {
+		w := &work[p]
+		sr, err := rt.gatherPartition(ctx, st, p, w.rows, withFeatures)
+		if err != nil {
+			anyLost.Store(true)
+			return
+		}
+		for k, i := range w.idxs {
+			out.fused[i] = sr.Fused[k]
+			out.greedy[i] = sr.Greedy[k]
+			out.ok[i] = true
+			if withFeatures {
+				out.feats[i] = featureRow{
+					ms: indexOrNil(sr.Ms, k), mn: indexOrNil(sr.Mn, k), ml: indexOrNil(sr.Ml, k),
 				}
 			}
-		}(p, w)
+		}
+	}
+	// Every participating partition but the last gathers on its own
+	// goroutine; the last one runs on the caller's, so a request that
+	// touches one partition spawns nothing.
+	var wg sync.WaitGroup
+	last := -1
+	for p := range work {
+		if len(work[p].rows) == 0 {
+			continue
+		}
+		if last >= 0 {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				gather(p)
+			}(last)
+		}
+		last = p
+	}
+	if last >= 0 {
+		gather(last)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {

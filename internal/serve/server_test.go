@@ -11,8 +11,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -528,6 +530,45 @@ func coalesceTestMatrix(n int) *mat.Dense {
 		m.Data[i] = float64((s>>33)%23) / 23
 	}
 	return m
+}
+
+// FuzzAlignRequest sends arbitrary bytes as a /v1/align body and as a
+// candidates {id} and k to a server over a literalEngine: every answer must
+// be 200, 400 or 404 with a JSON body, and nothing may panic (the server's
+// panic isolation would turn a panic into a 500).
+func FuzzAlignRequest(f *testing.F) {
+	f.Add([]byte(`{"sources":["0","b"]}`), "0", "3")
+	f.Add([]byte(`{"sources":["a"],"strategy":"hungarian"}`), "c", "")
+	f.Add([]byte(`{"sources":[]}`), "99", "-1")
+	f.Add([]byte(`{"sources":["0","a"]}`), "zz", "x")
+	f.Add([]byte(`{"sources":["-1"],"strategy":"nope"}`), "%2F", "1e9")
+	f.Add([]byte(`[1,{"sources":null}`), "\xff", "99999999999999999999")
+	srv := NewServer(testServerConfig(), obs.NewRegistry())
+	srv.SetAligner(literalEngine(coalesceTestMatrix(12)))
+	h := srv.Handler()
+	check := func(t *testing.T, req *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("%s %s: status %d: %s", req.Method, req.URL, rec.Code, rec.Body.Bytes())
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%s %s: body is not JSON: %q", req.Method, req.URL, rec.Body.Bytes())
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, id, k string) {
+		check(t, httptest.NewRequest(http.MethodPost, "/v1/align", bytes.NewReader(body)))
+		// An id that is empty, a dot segment or holds a slash is not one
+		// path segment: the router cleans such paths and answers them
+		// itself (plain-text 404 or redirect) before any handler runs.
+		if id == "" || id == "." || id == ".." || strings.Contains(id, "/") {
+			return
+		}
+		check(t, httptest.NewRequest(http.MethodGet,
+			"/v1/entity/"+url.PathEscape(id)+"/candidates?k="+url.QueryEscape(k), nil))
+	})
 }
 
 // postAlignRaw returns the raw response bytes of one align POST.

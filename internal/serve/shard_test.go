@@ -2,11 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -94,10 +96,108 @@ func TestShardedRouterBitIdentity(t *testing.T) {
 				t.Fatalf("%d shards candidates row %d:\n got %+v\nwant %+v", nshards, rows[0], gotC, wantC)
 			}
 		}
+
+		// Each partition, as a replica's own Aligner, answers its owned
+		// rows exactly as the whole space does.
+		for s, p := range parts {
+			if p.Owned() == 0 {
+				continue
+			}
+			want, err := base.AlignCollective(ctx, p.rows, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.AlignCollective(ctx, p.rows, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d shards: partition %d own rows:\n got %+v\nwant %+v", nshards, s, got, want)
+			}
+			if gg, wg := p.AlignGreedy(p.rows), base.AlignGreedy(p.rows); !reflect.DeepEqual(gg, wg) {
+				t.Fatalf("%d shards: partition %d own greedy:\n got %+v\nwant %+v", nshards, s, gg, wg)
+			}
+			row := p.rows[len(p.rows)-1]
+			wantC, err := base.Candidates(ctx, row, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotC, err := p.Candidates(ctx, row, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotC, wantC) {
+				t.Fatalf("%d shards: partition %d candidates row %d:\n got %+v\nwant %+v", nshards, s, row, gotC, wantC)
+			}
+		}
 	}
 
 	if _, err := NewShardedRouter(base, 0, obs.NewRegistry()); err == nil {
 		t.Fatal("0 shards accepted")
+	}
+	parts, err := NewPartitions(base, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPartition(parts[0], 0, 2); err == nil {
+		t.Fatal("partition extracted from a partial source")
+	}
+	if _, err := NewShardedRouter(parts[1], 2, obs.NewRegistry()); err == nil {
+		t.Fatal("sharded router built over a partial source")
+	}
+}
+
+// TestPartitionServerUnownedSources pins a replica's answer to keys naming
+// another partition's sources: 404 "unknown source" on both read endpoints,
+// by index and by name, without feeding the server's breaker — so after
+// many such requests an owned row still gets the collective answer.
+func TestPartitionServerUnownedSources(t *testing.T) {
+	const n = 24
+	base := literalEngine(coalesceTestMatrix(n))
+	p, err := NewPartition(base, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owned, unowned []int
+	for row := 0; row < n; row++ {
+		if p.Owns(row) {
+			owned = append(owned, row)
+		} else {
+			unowned = append(unowned, row)
+		}
+	}
+	if len(owned) == 0 || len(unowned) == 0 {
+		t.Fatalf("degenerate split: %d owned, %d unowned", len(owned), len(unowned))
+	}
+	srv := NewServer(testServerConfig(), obs.NewRegistry())
+	srv.SetPartition(p)
+	srv.SetAligner(p)
+	h := srv.Handler()
+	do := func(req *http.Request) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.Bytes()
+	}
+	for i := 0; i < 40; i++ {
+		row := unowned[i%len(unowned)]
+		key := strconv.Itoa(row)
+		if i%2 == 1 {
+			key = base.srcNames[row]
+		}
+		if code, body := do(httptest.NewRequest(http.MethodPost, "/v1/align", alignBody(key))); code != http.StatusNotFound {
+			t.Fatalf("align of unowned source %q: %d %s, want 404", key, code, body)
+		}
+		if code, body := do(httptest.NewRequest(http.MethodGet, "/v1/entity/"+key+"/candidates?k=3", nil)); code != http.StatusNotFound {
+			t.Fatalf("candidates of unowned source %q: %d %s, want 404", key, code, body)
+		}
+	}
+	code, body := do(httptest.NewRequest(http.MethodPost, "/v1/align", alignBody(strconv.Itoa(owned[0]))))
+	var resp alignResponse
+	if err := json.Unmarshal(body, &resp); err != nil || code != http.StatusOK {
+		t.Fatalf("align of owned source %d: %d %s", owned[0], code, body)
+	}
+	if resp.Degraded || len(resp.Results) != 1 || !resp.Results[0].Matched {
+		t.Fatalf("align of owned source %d after unowned traffic: %s", owned[0], body)
 	}
 }
 

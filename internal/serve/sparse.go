@@ -78,7 +78,7 @@ func (e *SparseEngine) Degraded() []core.Degradation { return e.degraded }
 // NumSources implements Aligner.
 func (e *SparseEngine) NumSources() int { return len(e.srcNames) }
 
-// Resolve implements Aligner with Engine's key grammar.
+// Resolve implements Aligner with the shared key grammar (resolveSource).
 func (e *SparseEngine) Resolve(key string) (int, bool) {
 	return resolveSource(key, e.srcNames, e.byName)
 }

@@ -76,7 +76,7 @@ func TestAlignStrategyRejected(t *testing.T) {
 // staticStrategyEngine builds a real dense engine over a fixed matrix whose
 // rows 0..2 have distinct argmax targets (the diagonal) and whose row 3 ties
 // row 0's argmax, forcing competition.
-func staticStrategyEngine(t *testing.T) *Engine {
+func staticStrategyEngine(t *testing.T) *Partition {
 	t.Helper()
 	fused := mat.NewDense(4, 4)
 	for i := 0; i < 3; i++ {
